@@ -83,8 +83,19 @@ class JsonParser {
 
   std::shared_ptr<JValue> parse_value() {
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Artifacts nest a few levels deep; a hostile document must not
+        // exhaust the stack of this recursive reader.
+        if (depth_ == kMaxDepth) {
+          return fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                      " levels");
+        }
+        ++depth_;
+        auto out = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return out;
+      }
       case '"': {
         auto out = std::make_shared<JValue>();
         out->v = parse_string();
@@ -188,8 +199,11 @@ class JsonParser {
     return out;
   }
 
+  static constexpr std::size_t kMaxDepth = 64;  ///< object/array nesting
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
   bool failed_ = false;
   std::string error_;
 };

@@ -72,8 +72,8 @@ BENCHMARK(BM_SimulateFlightOn)->Unit(benchmark::kMillisecond);
 
 void BM_FlightRecord(benchmark::State& state) {
   obs::FlightRecorder recorder(1024);
-  obs::FlightEvent event;
-  event.kind = obs::FlightKind::kAcquire;
+  obs::TraceEvent event;
+  event.kind = obs::EventKind::kVcAlloc;
   event.packet = 3;
   event.channel = 5;
   for (auto _ : state) {

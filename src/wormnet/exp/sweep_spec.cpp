@@ -1,6 +1,8 @@
 #include "wormnet/exp/sweep_spec.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -53,13 +55,24 @@ std::vector<double> parse_loads(const std::string& clause) {
     const double lo = parse_double(range[0], "load");
     const double hi = parse_double(range[1], "load");
     const double step = parse_double(range[2], "load step");
-    if (step <= 0.0 || hi < lo) {
+    if (!(step > 0.0) || !(hi >= lo) || !std::isfinite(hi - lo)) {
       throw std::invalid_argument("sweep grid: bad load range '" + clause +
                                   "'");
     }
+    // Count before allocating: a tiny step must be refused, not expanded.
+    const double span = (hi - lo) / step + 1e-9;
+    if (!(span < static_cast<double>(kMaxGridPoints))) {
+      std::ostringstream count;
+      count << std::fixed << std::setprecision(0) << std::floor(span) + 1;
+      throw std::invalid_argument("sweep grid: load axis '" + clause +
+                                  "' expands to " + count.str() +
+                                  " points, over the " +
+                                  std::to_string(kMaxGridPoints) +
+                                  "-point cap");
+    }
     std::vector<double> out;
     // Integer stepping avoids drift deciding whether `hi` itself is hit.
-    const auto steps = static_cast<std::size_t>((hi - lo) / step + 1e-9);
+    const auto steps = static_cast<std::size_t>(span);
     for (std::size_t i = 0; i <= steps; ++i) {
       out.push_back(lo + static_cast<double>(i) * step);
     }
@@ -92,6 +105,26 @@ ExpandedSweep expand(const SweepSpec& spec) {
   }
   if (spec.replications == 0) {
     throw std::invalid_argument("sweep: replications must be >= 1");
+  }
+  // Count before allocating (topology x routing combos that later turn out
+  // inapplicable still count, so the cap is conservative).
+  const std::pair<const char*, std::size_t> axes[] = {
+      {"topo", spec.topologies.size()},
+      {"routing", spec.routings.size()},
+      {"fault", spec.fault_plans.size()},
+      {"reconfig", spec.reconfig_plans.size()},
+      {"pattern", spec.patterns.size()},
+      {"load", spec.loads.size()},
+      {"reps", spec.replications}};
+  std::size_t points = 1;
+  for (const auto& [axis, size] : axes) {
+    if (size > kMaxGridPoints / points) {
+      throw std::invalid_argument(
+          "sweep: grid exceeds the " + std::to_string(kMaxGridPoints) +
+          "-point cap at the " + axis + " axis (" + std::to_string(size) +
+          " values after " + std::to_string(points) + " points)");
+    }
+    points *= size;
   }
 
   ExpandedSweep out;
@@ -235,11 +268,17 @@ SweepSpec parse_grid(const std::string& text) {
     } else if (key == "load") {
       spec.loads = parse_loads(value);
     } else if (key == "reps") {
-      spec.replications =
-          static_cast<std::uint32_t>(parse_u64(value, "reps"));
-      if (spec.replications == 0) {
+      const std::uint64_t reps = parse_u64(value, "reps");
+      if (reps == 0) {
         throw std::invalid_argument("sweep grid: reps must be >= 1");
       }
+      if (reps > kMaxGridPoints) {
+        throw std::invalid_argument("sweep grid: reps axis " + value +
+                                    " is over the " +
+                                    std::to_string(kMaxGridPoints) +
+                                    "-point cap");
+      }
+      spec.replications = static_cast<std::uint32_t>(reps);
     } else if (key == "seed") {
       spec.seed = parse_u64(value, "seed");
     } else {

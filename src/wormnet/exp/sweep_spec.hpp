@@ -25,6 +25,11 @@
 
 namespace wormnet::exp {
 
+/// The most points a grid may expand to.  Every point is a full simulation,
+/// so a larger grid is a typo (say a load step of 1e-9) that would exhaust
+/// memory before the first point ran; parse_grid() and expand() refuse it.
+inline constexpr std::size_t kMaxGridPoints = 100000;
+
 struct SweepSpec {
   std::vector<std::string> topologies;          ///< specs for make_topology()
   std::vector<std::string> routings;            ///< registry names / aliases
@@ -75,9 +80,9 @@ struct ExpandedSweep {
 };
 
 /// Flattens the grid.  Topology specs are parsed (and alias routing names
-/// resolved) eagerly, so malformed specs and unknown routing names throw
-/// std::invalid_argument here rather than mid-run; inapplicable
-/// (topology, routing) combos are skipped and recorded.
+/// resolved) eagerly, so malformed specs, unknown routing names and grids
+/// over kMaxGridPoints throw std::invalid_argument here rather than mid-run;
+/// inapplicable (topology, routing) combos are skipped and recorded.
 [[nodiscard]] ExpandedSweep expand(const SweepSpec& spec);
 
 /// Parses a grid string of ';'-separated key=value clauses:
@@ -95,7 +100,8 @@ struct ExpandedSweep {
 ///
 /// The sim-methodology fields of `spec.base` are left untouched (callers
 /// set them via CLI flags or code).  Throws std::invalid_argument on
-/// malformed input.
+/// malformed input, including a load range or reps count that alone
+/// exceeds kMaxGridPoints.
 [[nodiscard]] SweepSpec parse_grid(const std::string& text);
 
 }  // namespace wormnet::exp

@@ -1,10 +1,11 @@
 // The live fault mask of a running simulation.
 //
 // FaultOverlay owns the mutable per-channel fault vector a simulation routes
-// around: the Simulator applies CompiledSteps between cycles, and a
-// routing::DynamicFaultRouting wrapper (plus the allocator's own filter)
-// reads the mask by reference — so every consumer sees the new epoch the
-// cycle after an event fires, with no rebuild of the routing function.
+// around: the Simulator applies CompiledSteps between cycles, and the
+// RouteAllocator — the one live fault filter — borrows the mask by
+// reference, dropping dead channels from every candidate set and wait
+// commitment.  Every consumer sees the new epoch the cycle after an event
+// fires, with no rebuild of the routing function.
 //
 // apply() reports the channels that actually changed state; killing a dead
 // channel (e.g. a random campaign overlapping a scheduled kill) is idempotent

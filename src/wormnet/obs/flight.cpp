@@ -2,24 +2,14 @@
 
 namespace wormnet::obs {
 
-const char* to_string(FlightKind kind) noexcept {
-  switch (kind) {
-    case FlightKind::kAcquire: return "acquire";
-    case FlightKind::kRelease: return "release";
-    case FlightKind::kWait: return "wait";
-    case FlightKind::kWaitVoid: return "wait_void";
-    case FlightKind::kFault: return "fault";
-    case FlightKind::kRepair: return "repair";
-    case FlightKind::kAbort: return "abort";
-    case FlightKind::kRetry: return "retry";
-    case FlightKind::kDrop: return "drop";
-    case FlightKind::kDeadlock: return "deadlock";
-    case FlightKind::kWatchdog: return "watchdog";
-    case FlightKind::kSwitch: return "switch";
-    case FlightKind::kRollback: return "rollback";
-    case FlightKind::kDrainSwitch: return "drain-switch";
+const char* flight_name(const FlightEvent& ev) noexcept {
+  switch (ev.kind) {
+    case EventKind::kVcAlloc: return "acquire";
+    case EventKind::kBlock: return "wait";
+    case EventKind::kDeadlockDetected: return ev.flag ? "watchdog" : "deadlock";
+    case EventKind::kDrainSwitch: return "drain-switch";
+    default: return to_string(ev.kind);
   }
-  return "?";
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity) : ring_(capacity) {}

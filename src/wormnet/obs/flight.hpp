@@ -1,9 +1,11 @@
 // The flight recorder: a fixed-capacity ring buffer of channel-level
 // lifecycle events inside the Simulator, cheap enough to leave on by default.
 //
-// Unlike the TraceSink stream (which narrates *everything* and costs a
-// virtual call plus serialization per event), the recorder keeps only the
-// most recent `capacity` compact 24-byte records in a preallocated ring:
+// The recorder is one of the two sinks of the simulator's single event
+// stream (obs/trace.hpp): sinks_of() routes the flight-bound kinds here, and
+// record() projects each TraceEvent into a compact 24-byte record.  Unlike a
+// TraceSink (a virtual call plus serialization per event), the recorder
+// keeps only the most recent `capacity` records in a preallocated ring:
 // recording is a bounds-free store + two counter increments, there is no
 // allocation after construction, and nothing is rendered until a postmortem
 // asks for the tail.  Drops by ring wraparound are counted, never silent
@@ -19,50 +21,83 @@
 #include <cstdint>
 #include <vector>
 
+#include "wormnet/obs/trace.hpp"
+
 namespace wormnet::obs {
 
-enum class FlightKind : std::uint8_t {
-  kAcquire,   ///< header acquired a virtual channel
-  kRelease,   ///< tail flit left a channel (or an abort cleared it)
-  kWait,      ///< header transitioned to blocked (edge-triggered)
-  kWaitVoid,  ///< a committed wait was voided (its channel went faulty)
-  kFault,     ///< channel transitioned to faulty
-  kRepair,    ///< channel transitioned back to healthy
-  kAbort,     ///< packet aborted (recovery victim or timeout)
-  kRetry,     ///< aborted packet re-entered its source queue
-  kDrop,      ///< packet gave up (budget exhausted / drain refusal)
-  kDeadlock,  ///< wait-for cycle detected
-  kWatchdog,  ///< global no-progress watchdog fired
-  kSwitch,    ///< reconfig cutover step applied (aux = transition epoch)
-  kRollback,     ///< guard reverted migrated destinations to the base
-                 ///< relation (aux = transition epoch)
-  kDrainSwitch,  ///< guard engaged drain-then-switch; second record fires
-                 ///< when the empty network takes the steady state
-};
-
-[[nodiscard]] const char* to_string(FlightKind kind) noexcept;
-
-/// One compact record.  `aux` carries the kind-specific extra: the node for
-/// kWait, the fault epoch for kFault/kRepair, the attempt count for
-/// kAbort/kRetry, the knot size for kDeadlock.  Unused ids stay kNoId
-/// (declared in trace.hpp but redefined here to keep this header free).
+/// One compact record.  `aux` carries the kind-specific extra: the input
+/// channel for an acquire (kVcAlloc), the node for a wait (kBlock), the
+/// fault epoch for kFault/kRepair/kWaitVoid, the attempt count for
+/// kAbort/kRetry, the knot size of a deadlock or the blocked-packet count
+/// of a watchdog trip, the transition epoch for kSwitch/kRollback/
+/// kDrainSwitch.  Unused ids stay kNone.
 struct FlightEvent {
-  static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr std::uint32_t kNone = kNoId;
 
   std::uint64_t cycle = 0;
-  FlightKind kind = FlightKind::kAcquire;
+  EventKind kind = EventKind::kVcAlloc;
+  bool flag = false;  ///< TraceEvent::flag (marks a watchdog trip)
   std::uint32_t packet = kNone;
   std::uint32_t channel = kNone;
   std::uint32_t aux = kNone;
 };
+static_assert(sizeof(FlightEvent) == 24, "flight records stay compact");
+
+/// The record's name in postmortems: "acquire", "release", "wait",
+/// "wait_void", "fault", "repair", "abort", "retry", "drop", "deadlock",
+/// "watchdog", "switch", "rollback" or "drain-switch".
+[[nodiscard]] const char* flight_name(const FlightEvent& ev) noexcept;
 
 class FlightRecorder {
  public:
   /// `capacity` of 0 disables the recorder entirely (record() still safe).
   explicit FlightRecorder(std::size_t capacity);
 
-  void record(const FlightEvent& event) noexcept {
+  /// Projects a flight-bound event into the ring: one record per channel
+  /// for fault/repair epochs, one record otherwise.
+  void record(const TraceEvent& ev) noexcept {
     if (ring_.empty()) return;
+    const auto value = static_cast<std::uint32_t>(ev.value);
+    switch (ev.kind) {
+      case EventKind::kFault:
+      case EventKind::kRepair:  // aux = epoch
+        for (const std::uint32_t c : ev.list) {
+          store({ev.cycle, ev.kind, false, kNoId, c, value});
+        }
+        return;
+      case EventKind::kVcAlloc:  // acquired channel, aux = input channel
+        store({ev.cycle, ev.kind, false, ev.packet, ev.channel, ev.channel2});
+        return;
+      case EventKind::kBlock:  // input channel, aux = node
+        store({ev.cycle, ev.kind, false, ev.packet, ev.channel2, ev.node});
+        return;
+      case EventKind::kRelease:
+      case EventKind::kDrop:
+        store({ev.cycle, ev.kind, false, ev.packet, ev.channel, kNoId});
+        return;
+      default:  // aux = value: epoch, attempt, knot size or blocked count
+        store({ev.cycle, ev.kind, ev.flag, ev.packet, ev.channel, value});
+        return;
+    }
+  }
+
+  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Records ever stored (including those since overwritten).
+  [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
+  /// Records lost to ring wraparound.
+  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+
+  /// The retained records in chronological order (oldest first).
+  [[nodiscard]] std::vector<FlightEvent> snapshot() const;
+
+  /// The most recent `n` records in chronological order.
+  [[nodiscard]] std::vector<FlightEvent> tail(std::size_t n) const;
+
+  void clear() noexcept;
+
+ private:
+  void store(const FlightEvent& event) noexcept {
     ring_[next_] = event;
     next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
     if (size_ < ring_.size()) {
@@ -73,25 +108,9 @@ class FlightRecorder {
     ++recorded_;
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  /// Events ever recorded (including those since overwritten).
-  [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
-  /// Events lost to ring wraparound.
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-
-  /// The retained events in chronological order (oldest first).
-  [[nodiscard]] std::vector<FlightEvent> snapshot() const;
-
-  /// The most recent `n` events in chronological order.
-  [[nodiscard]] std::vector<FlightEvent> tail(std::size_t n) const;
-
-  void clear() noexcept;
-
- private:
   std::vector<FlightEvent> ring_;
   std::size_t next_ = 0;  ///< slot the next record lands in
-  std::size_t size_ = 0;  ///< retained events (<= capacity)
+  std::size_t size_ = 0;  ///< retained records (<= capacity)
   std::uint64_t recorded_ = 0;
   std::uint64_t dropped_ = 0;
 };

@@ -25,6 +25,9 @@ const char* to_string(EventKind kind) noexcept {
     case EventKind::kSwitch: return "switch";
     case EventKind::kRollback: return "rollback";
     case EventKind::kDrainSwitch: return "drain_switch";
+    case EventKind::kRelease: return "release";
+    case EventKind::kWaitVoid: return "wait_void";
+    case EventKind::kDrop: return "drop";
   }
   return "?";
 }
@@ -89,7 +92,7 @@ void JsonlTraceSink::emit(const TraceEvent& ev) {
       break;
     case EventKind::kDeadlockDetected:
       w.field("watchdog", ev.flag);
-      w.field("size", ev.value);
+      w.field("size", std::uint64_t{ev.list.size()});
       w.key("pkts");
       w.begin_array();
       for (const std::uint32_t p : ev.list) w.number(std::uint64_t{p});
@@ -125,6 +128,10 @@ void JsonlTraceSink::emit(const TraceEvent& ev) {
       for (const std::uint32_t d : ev.list) w.number(std::uint64_t{d});
       w.end_array();
       break;
+    case EventKind::kRelease:
+    case EventKind::kWaitVoid:
+    case EventKind::kDrop:
+      break;  // flight-only (sinks_of): never routed to a trace sink
   }
   w.end_object();
   os_ << '\n';
@@ -330,6 +337,10 @@ void ChromeTraceSink::emit(const TraceEvent& ev) {
       os_ << "]}}";
       break;
     }
+    case EventKind::kRelease:
+    case EventKind::kWaitVoid:
+    case EventKind::kDrop:
+      break;  // flight-only (sinks_of): never routed to a trace sink
   }
 }
 

@@ -1,12 +1,13 @@
-// Structured event tracing for the simulator and the deadlock machinery.
+// The simulator's event vocabulary and its trace sinks.
 //
-// Producers (Simulator, RouteAllocator, find_wait_cycle) emit flat
-// `TraceEvent` records through an abstract `TraceSink`; the cost when tracing
-// is off is a single null-pointer test per site, and the traced run is
-// behaviour-identical to the untraced one (instrumentation never touches RNG
-// state or arbitration).
+// Every state change the simulator reports is one flat `TraceEvent`, passed
+// once to the simulator's single emit call.  A fixed per-kind table
+// (sinks_of) sends it to the flight recorder's ring (obs/flight.hpp), to the
+// attached `TraceSink`, or to both; an event no sink takes costs a few
+// branches, and the traced run is behaviour-identical to the untraced one
+// (instrumentation never touches RNG state or arbitration).
 //
-// Sinks:
+// Trace sinks:
 //   * JsonlTraceSink  — one JSON object per line; grep/jq-friendly, and the
 //     format the golden-file tests pin down.
 //   * ChromeTraceSink — Chrome trace_event JSON; open the file directly in
@@ -51,12 +52,57 @@ enum class EventKind : std::uint8_t {
   kRollback,          ///< guard reverted migrated destinations to the base
   kDrainSwitch,       ///< guard drained the network, then applied the
                       ///< steady state through it
+  kRelease,           ///< tail flit left a channel (or an abort cleared it)
+  kWaitVoid,          ///< a committed wait was voided (channel died, or the
+                      ///< destination switched relation)
+  kDrop,              ///< packet gave up (retry budget spent, drain refusal)
 };
 
 [[nodiscard]] const char* to_string(EventKind kind) noexcept;
 
+/// Which sinks take an event kind.
+struct EventSinks {
+  bool trace;   ///< the attached TraceSink (JSONL, Chrome, memory, ...)
+  bool flight;  ///< the flight recorder's ring
+};
+
+/// The fixed routing table.  Packet and flit narration is trace-only (too
+/// hot for an always-on ring); release, voided waits and drops are
+/// flight-only channel bookkeeping; the rest feed both.
+[[nodiscard]] constexpr EventSinks sinks_of(EventKind kind) noexcept {
+  switch (kind) {
+    case EventKind::kPacketCreate:
+    case EventKind::kInject:
+    case EventKind::kRouteCompute:
+    case EventKind::kLinkTraverse:
+    case EventKind::kUnblock:
+    case EventKind::kEject:
+    case EventKind::kPacketDone:
+    case EventKind::kDeadlockCheck:
+    case EventKind::kRecovered:
+      return {true, false};
+    case EventKind::kRelease:
+    case EventKind::kWaitVoid:
+    case EventKind::kDrop:
+      return {false, true};
+    case EventKind::kVcAlloc:
+    case EventKind::kBlock:
+    case EventKind::kDeadlockDetected:
+    case EventKind::kFault:
+    case EventKind::kRepair:
+    case EventKind::kAbort:
+    case EventKind::kRetry:
+    case EventKind::kSwitch:
+    case EventKind::kRollback:
+    case EventKind::kDrainSwitch:
+      return {true, true};
+  }
+  return {true, true};
+}
+
 /// One flat record.  Field meaning varies per kind (see JsonlTraceSink for
-/// the authoritative field mapping); unused ids stay kNoId.
+/// the authoritative field mapping, FlightRecorder::record for the flight
+/// projection); unused ids stay kNoId.
 struct TraceEvent {
   EventKind kind = EventKind::kPacketCreate;
   std::uint64_t cycle = 0;
@@ -66,7 +112,7 @@ struct TraceEvent {
   std::uint32_t channel = kNoId;   ///< primary channel (acquired / moved to)
   std::uint32_t channel2 = kNoId;  ///< secondary channel (input / moved from)
   std::uint64_t value = 0;         ///< length, candidate count, latency, ...
-  bool flag = false;               ///< head flit / watchdog detection
+  bool flag = false;               ///< head flit / watchdog / retry
   bool flag2 = false;              ///< tail flit
   /// Rare-event payload (waiting channel set, deadlock packet cycle); kept
   /// empty on hot-path events so emission stays allocation-free.

@@ -34,34 +34,6 @@ ChannelSet FaultAwareRouting::waiting(ChannelId input, NodeId current,
   return filter(base_->waiting(input, current, dest));
 }
 
-DynamicFaultRouting::DynamicFaultRouting(const Topology& topo,
-                                         const RoutingFunction& base,
-                                         const std::vector<bool>& mask)
-    : RoutingFunction(topo), base_(&base), mask_(&mask) {
-  if (mask.size() != topo.num_channels()) {
-    throw std::invalid_argument("fault mask size mismatch");
-  }
-}
-
-std::string DynamicFaultRouting::name() const {
-  return base_->name() + "+overlay";
-}
-
-ChannelSet DynamicFaultRouting::filter(ChannelSet set) const {
-  std::erase_if(set, [this](ChannelId c) { return (*mask_)[c]; });
-  return set;
-}
-
-ChannelSet DynamicFaultRouting::route(ChannelId input, NodeId current,
-                                      NodeId dest) const {
-  return filter(base_->route(input, current, dest));
-}
-
-ChannelSet DynamicFaultRouting::waiting(ChannelId input, NodeId current,
-                                        NodeId dest) const {
-  return filter(base_->waiting(input, current, dest));
-}
-
 std::size_t mark_link_faulty(const Topology& topo, NodeId src, NodeId dst,
                              std::vector<bool>& faulty) {
   faulty.resize(topo.num_channels(), false);

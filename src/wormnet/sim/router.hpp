@@ -10,7 +10,6 @@
 
 #include <optional>
 
-#include "wormnet/obs/trace.hpp"
 #include "wormnet/reconfig/overlay.hpp"
 #include "wormnet/routing/routing_function.hpp"
 #include "wormnet/routing/selection.hpp"
@@ -29,12 +28,10 @@ enum class WaitOverride : std::uint8_t { kFollowRouting, kForceAny, kForceSpecif
 
 class RouteAllocator {
  public:
-  /// `trace`/`clock`, when set, emit route-compute and VC-allocate events
-  /// stamped with `*clock` (the simulator's cycle counter).  Tracing never
-  /// alters allocation behaviour or RNG state.  `faulty`, when set, is a
-  /// borrowed live fault mask (the simulator's ft overlay): faulty channels
-  /// are removed from every candidate set — including forced paths and
-  /// wait commitments, which bypass the routing relation's own filter.
+  /// `faulty`, when set, is a borrowed live fault mask (the simulator's ft
+  /// overlay) and the only live fault filter: faulty channels are removed
+  /// from every candidate set — relation candidates, forced paths and wait
+  /// commitments alike — and a wait-specific header never commits to one.
   /// `transition`, when set, is the simulator's borrowed reconfig overlay:
   /// injected packets route by the pure relation of their stamped
   /// `route_version`, source-queued packets by the destination's current
@@ -42,8 +39,6 @@ class RouteAllocator {
   RouteAllocator(const Topology& topo, const RoutingFunction& routing,
                  SelectionPolicy selection, WaitOverride wait_override,
                  std::uint32_t buffer_depth, std::uint64_t seed,
-                 obs::TraceSink* trace = nullptr,
-                 const std::uint64_t* clock = nullptr,
                  const std::vector<bool>* faulty = nullptr,
                  const reconfig::TransitionOverlay* transition = nullptr);
 
@@ -54,6 +49,12 @@ class RouteAllocator {
   [[nodiscard]] std::optional<ChannelId> attempt(Packet& pkt, ChannelId input,
                                                  NodeId current,
                                                  NetworkState& net);
+
+  /// The (fault-filtered) candidate set the last attempt() arbitrated over;
+  /// the simulator reports its size as the hop's route-compute event.
+  [[nodiscard]] const routing::ChannelSet& last_candidates() const noexcept {
+    return cands_;
+  }
 
   /// Candidate channels the blocked packet is currently waiting on — used by
   /// the deadlock detector.  Empty result means the packet is not blocked on
@@ -80,8 +81,6 @@ class RouteAllocator {
   WaitOverride wait_override_;
   std::uint32_t buffer_depth_;
   util::Xoshiro256 rng_;
-  obs::TraceSink* trace_;
-  const std::uint64_t* clock_;
   const std::vector<bool>* faulty_;
   const reconfig::TransitionOverlay* transition_;
   // Scratch reused across attempts (hot path: no per-call allocation).

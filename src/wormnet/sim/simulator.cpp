@@ -10,16 +10,11 @@ Simulator::Simulator(const Topology& topo,
                      const routing::RoutingFunction& routing, SimConfig config)
     : topo_(&topo), routing_(&routing), config_(std::move(config)),
       overlay_(topo.num_channels()),
-      degraded_(config_.fault_plan != nullptr
-                    ? std::make_unique<routing::DynamicFaultRouting>(
-                          topo, routing, overlay_.mask())
-                    : nullptr),
       transition_(routing, config_.transition),
       net_(topo),
-      allocator_(topo, degraded_ ? *degraded_ : routing, config_.selection,
-                 config_.wait_override, config_.buffer_depth,
-                 config_.seed ^ 0xa5a5a5a5ULL, config_.trace, &cycle_,
-                 degraded_ ? &overlay_.mask() : nullptr,
+      allocator_(topo, routing, config_.selection, config_.wait_override,
+                 config_.buffer_depth, config_.seed ^ 0xa5a5a5a5ULL,
+                 fault_active() ? &overlay_.mask() : nullptr,
                  transition_.active() ? &transition_ : nullptr),
       traffic_(topo, config_.pattern, config_.seed, config_.hotspot_fraction,
                config_.hotspots),
@@ -208,17 +203,9 @@ PacketId Simulator::create_packet(NodeId src, NodeId dst, std::uint32_t length,
   ++stats_.packets_created;
   if (pkt.measured) ++stats_.measured_created;
   ++in_flight_;
-  if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kPacketCreate;
-    ev.cycle = cycle_;
-    ev.packet = pkt.id;
-    ev.node = src;
-    ev.node2 = dst;
-    ev.value = pkt.length;
-    ev.flag = pkt.measured;
-    trace_->emit(ev);
-  }
+  emit({.kind = obs::EventKind::kPacketCreate, .cycle = cycle_,
+        .packet = pkt.id, .node = src, .node2 = dst, .value = pkt.length,
+        .flag = pkt.measured});
   packets_.push_back(std::move(pkt));
   live_packets_.grow(packets_.size());
   live_packets_.insert(packets_.back().id);
@@ -273,7 +260,7 @@ void Simulator::allocate_outputs() {
       src_seen_[node] = wake_epoch_;
       ++activity_;
       Packet& pkt = packets_[sources_[node].queue.front()];
-      if (allocator_.attempt(pkt, kInvalidChannel, node, net_)) {
+      if (allocate(pkt, kInvalidChannel, node)) {
         // Stamp the routing version the packet injects under: it keeps this
         // pure relation for its whole flight (in-flight coherence rule).
         pkt.route_version = transition_.current(pkt.dst);
@@ -281,8 +268,6 @@ void Simulator::allocate_outputs() {
         pkt.first_injected = cycle_;
         if (track_progress_) pkt.last_progress = cycle_;
         chan_len_[pkt.path.back()] = pkt.length;
-        flight_.record({cycle_, obs::FlightKind::kAcquire, pkt.id,
-                        pkt.path.back(), obs::FlightEvent::kNone});
         note_block_transition(pkt, kInvalidChannel, node, /*acquired=*/true);
         touch_source(node);
       } else {
@@ -309,12 +294,10 @@ void Simulator::allocate_outputs() {
         touch_channel(c);
         continue;
       }
-      if (auto acquired = allocator_.attempt(pkt, c, here, net_)) {
+      if (auto acquired = allocate(pkt, c, here)) {
         net_.assign_output(c, *acquired);
         if (track_progress_) pkt.last_progress = cycle_;
         chan_len_[*acquired] = pkt.length;
-        flight_.record(
-            {cycle_, obs::FlightKind::kAcquire, pkt.id, *acquired, c});
         note_block_transition(pkt, c, here, /*acquired=*/true);
         touch_channel(c);
       } else {
@@ -324,45 +307,51 @@ void Simulator::allocate_outputs() {
   }
 }
 
+std::optional<ChannelId> Simulator::allocate(Packet& pkt, ChannelId input,
+                                             NodeId node) {
+  // Blocked headers re-arbitrate every cycle, but only the first evaluation
+  // at a hop is a routing decision: one route-compute event per hop.
+  const bool first_at_hop = pkt.trace_routes_emitted == pkt.path.size();
+  const std::optional<ChannelId> acquired =
+      allocator_.attempt(pkt, input, node, net_);
+  const std::uint32_t in = input == kInvalidChannel ? obs::kNoId : input;
+  if (first_at_hop && observed(obs::EventKind::kRouteCompute)) {
+    ++pkt.trace_routes_emitted;
+    emit({.kind = obs::EventKind::kRouteCompute, .cycle = cycle_,
+          .packet = pkt.id, .node = node, .channel2 = in,
+          .value = allocator_.last_candidates().size()});
+  }
+  if (acquired) {
+    emit({.kind = obs::EventKind::kVcAlloc, .cycle = cycle_, .packet = pkt.id,
+          .node = node, .channel = *acquired, .channel2 = in});
+  }
+  return acquired;
+}
+
 void Simulator::note_block_transition(Packet& pkt, ChannelId input,
                                       NodeId node, bool acquired) {
-  // Edge-triggered blocked/unblocked bookkeeping shared by the trace stream
-  // and the flight recorder.  The recorder logs the cheap edge only (packet,
-  // input channel, node) — never the waiting set, which would cost an
-  // allocator query per transition.
-  if (!trace_ && flight_.capacity() == 0) return;
+  // Edge-triggered blocked/unblocked bookkeeping.  The waiting set costs an
+  // allocator query, so it is only attached for a trace sink; the flight
+  // ring keeps the cheap edge (packet, input channel, node).
+  if (!observed(obs::EventKind::kBlock)) return;
   if (acquired) {
     if (pkt.trace_blocked) {
       pkt.trace_blocked = false;
-      if (trace_) {
-        obs::TraceEvent ev;
-        ev.kind = obs::EventKind::kUnblock;
-        ev.cycle = cycle_;
-        ev.packet = pkt.id;
-        ev.node = node;
-        ev.value = cycle_ - pkt.trace_block_start;
-        trace_->emit(ev);
-      }
+      emit({.kind = obs::EventKind::kUnblock, .cycle = cycle_,
+            .packet = pkt.id, .node = node,
+            .value = cycle_ - pkt.trace_block_start});
     }
     return;
   }
   if (!pkt.trace_blocked) {
     pkt.trace_blocked = true;
     pkt.trace_block_start = cycle_;
-    flight_.record({cycle_, obs::FlightKind::kWait, pkt.id,
-                    input == kInvalidChannel ? obs::FlightEvent::kNone : input,
-                    node});
-    if (trace_) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kBlock;
-      ev.cycle = cycle_;
-      ev.packet = pkt.id;
-      ev.node = node;
-      ev.channel2 = input == kInvalidChannel ? obs::kNoId : input;
-      const routing::ChannelSet waits = allocator_.blocked_on(pkt, input, node);
-      ev.list.assign(waits.begin(), waits.end());
-      trace_->emit(ev);
-    }
+    obs::TraceEvent ev{.kind = obs::EventKind::kBlock, .cycle = cycle_,
+                       .packet = pkt.id, .node = node,
+                       .channel2 = input == kInvalidChannel ? obs::kNoId
+                                                            : input};
+    if (trace_) ev.list = allocator_.blocked_on(pkt, input, node);
+    emit(ev);
   }
 }
 
@@ -419,20 +408,13 @@ void Simulator::move_flits() {
         ++pkt.flits_injected;
         if (track_progress_) pkt.last_progress = cycle_;
         if (tail) src.queue.pop_front();
-        if (trace_) {
-          obs::TraceEvent ev;
-          ev.cycle = cycle_;
-          ev.packet = pkt.id;
-          if (head) {
-            ev.kind = obs::EventKind::kInject;
-            ev.node = m.src_node;
-            ev.channel = m.to;
-          } else {
-            ev.kind = obs::EventKind::kLinkTraverse;
-            ev.channel = m.to;
-            ev.flag2 = tail;
-          }
-          trace_->emit(ev);
+        if (observed(obs::EventKind::kLinkTraverse)) {
+          emit(head ? obs::TraceEvent{.kind = obs::EventKind::kInject,
+                                      .cycle = cycle_, .packet = pkt.id,
+                                      .node = m.src_node, .channel = m.to}
+                    : obs::TraceEvent{.kind = obs::EventKind::kLinkTraverse,
+                                      .cycle = cycle_, .packet = pkt.id,
+                                      .channel = m.to, .flag2 = tail});
         }
         // Membership fast path: a push into a non-empty queue changes
         // nothing; the first flit into an empty one either presents a fresh
@@ -458,20 +440,14 @@ void Simulator::move_flits() {
         if (track_progress_) packets_[owner].last_progress = cycle_;
         if (tail) {
           net_.release(m.from);
-          flight_.record({cycle_, obs::FlightKind::kRelease, owner, m.from,
-                          obs::FlightEvent::kNone});
+          emit({.kind = obs::EventKind::kRelease, .cycle = cycle_,
+                .packet = owner, .channel = m.from});
           wake_blocked();
         }
-        if (trace_) {
-          obs::TraceEvent ev;
-          ev.kind = obs::EventKind::kLinkTraverse;
-          ev.cycle = cycle_;
-          ev.packet = owner;
-          ev.channel = m.to;
-          ev.channel2 = m.from;
-          ev.flag = head;
-          ev.flag2 = tail;
-          trace_->emit(ev);
+        if (observed(obs::EventKind::kLinkTraverse)) {
+          emit({.kind = obs::EventKind::kLinkTraverse, .cycle = cycle_,
+                .packet = owner, .channel = m.to, .channel2 = m.from,
+                .flag = head, .flag2 = tail});
         }
         // Membership fast paths (see the injection branch above): only
         // boundary transitions change a set, and the common mid-worm
@@ -519,20 +495,14 @@ void Simulator::move_flits() {
       ++pkt.flits_ejected;
       if (track_progress_) pkt.last_progress = cycle_;
       if (in_window) ++stats_.flits_ejected_in_window;
-      if (trace_) {
-        obs::TraceEvent ev;
-        ev.kind = obs::EventKind::kEject;
-        ev.cycle = cycle_;
-        ev.packet = pkt.id;
-        ev.node = node;
-        ev.channel = c;
-        ev.flag2 = tail;
-        trace_->emit(ev);
+      if (observed(obs::EventKind::kEject)) {
+        emit({.kind = obs::EventKind::kEject, .cycle = cycle_,
+              .packet = pkt.id, .node = node, .channel = c, .flag2 = tail});
       }
       if (tail) {
         net_.release(c);
-        flight_.record({cycle_, obs::FlightKind::kRelease, pkt.id, c,
-                        obs::FlightEvent::kNone});
+        emit({.kind = obs::EventKind::kRelease, .cycle = cycle_,
+              .packet = pkt.id, .channel = c});
         wake_blocked();
         finish_packet(pkt);
       }
@@ -566,23 +536,12 @@ void Simulator::finish_packet(Packet& pkt) {
     ++stats_.recovered_packets;
     recovery_latency_sum_ += static_cast<double>(cycle_ - pkt.first_abort);
   }
-  if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kPacketDone;
-    ev.cycle = cycle_;
-    ev.packet = pkt.id;
-    ev.node = pkt.dst;
-    ev.value = pkt.finished - pkt.created;
-    trace_->emit(ev);
-    if (pkt.attempts > 0) {
-      obs::TraceEvent rec;
-      rec.kind = obs::EventKind::kRecovered;
-      rec.cycle = cycle_;
-      rec.packet = pkt.id;
-      rec.node = pkt.dst;
-      rec.value = pkt.attempts;
-      trace_->emit(rec);
-    }
+  emit({.kind = obs::EventKind::kPacketDone, .cycle = cycle_,
+        .packet = pkt.id, .node = pkt.dst,
+        .value = pkt.finished - pkt.created});
+  if (pkt.attempts > 0) {
+    emit({.kind = obs::EventKind::kRecovered, .cycle = cycle_,
+          .packet = pkt.id, .node = pkt.dst, .value = pkt.attempts});
   }
   if (metrics_ && pkt.measured) {
     metrics_->histogram("packet_latency").add(
@@ -598,14 +557,14 @@ void Simulator::apply_fault_step(std::size_t step_index) {
   ++stats_.fault_epochs;
   stats_.fault_events += delta.downed.size();
   stats_.repair_events += delta.repaired.size();
-  const std::uint32_t epoch = static_cast<std::uint32_t>(overlay_.epoch());
-  for (const ChannelId c : delta.downed) {
-    flight_.record({cycle_, obs::FlightKind::kFault,
-                    obs::FlightEvent::kNone, c, epoch});
+  const std::uint64_t epoch = overlay_.epoch();
+  if (!delta.downed.empty()) {
+    emit({.kind = obs::EventKind::kFault, .cycle = cycle_, .value = epoch,
+          .list = delta.downed});
   }
-  for (const ChannelId c : delta.repaired) {
-    flight_.record({cycle_, obs::FlightKind::kRepair,
-                    obs::FlightEvent::kNone, c, epoch});
+  if (!delta.repaired.empty()) {
+    emit({.kind = obs::EventKind::kRepair, .cycle = cycle_, .value = epoch,
+          .list = delta.repaired});
   }
   if (!delta.downed.empty()) {
     // A wait commitment to a dead channel can never be granted: void it
@@ -616,25 +575,9 @@ void Simulator::apply_fault_step(std::size_t step_index) {
       Packet& pkt = packets_[id];
       if (pkt.committed_wait != kInvalidChannel &&
           overlay_.is_faulty(pkt.committed_wait)) {
-        flight_.record({cycle_, obs::FlightKind::kWaitVoid, pkt.id,
-                        pkt.committed_wait, epoch});
-        pkt.committed_wait = kInvalidChannel;
+        void_wait(pkt, epoch);
       }
     }
-  }
-  if (trace_) {
-    auto emit_epoch = [&](obs::EventKind kind,
-                          const std::vector<ChannelId>& channels) {
-      if (channels.empty()) return;
-      obs::TraceEvent ev;
-      ev.kind = kind;
-      ev.cycle = cycle_;
-      ev.value = overlay_.epoch();
-      ev.list.assign(channels.begin(), channels.end());
-      trace_->emit(ev);
-    };
-    emit_epoch(obs::EventKind::kFault, delta.downed);
-    emit_epoch(obs::EventKind::kRepair, delta.repaired);
   }
   // The candidate space changed (downed channels shrink it, repairs grow
   // it): every blocked header gets a fresh attempt.
@@ -695,32 +638,9 @@ void Simulator::apply_transition_step(std::size_t step_index) {
   if (switched.empty()) return;  // cannot happen: compile prunes no-ops
   ++stats_.reconfig_epochs;
   stats_.dests_switched += switched.size();
-  const std::uint32_t epoch = transition_.epoch();
-  flight_.record({cycle_, obs::FlightKind::kSwitch, obs::FlightEvent::kNone,
-                  obs::FlightEvent::kNone, epoch});
-  // A source-queued packet toward a switched destination may have committed
-  // to a waiting channel under the old relation; void the commitment so it
-  // re-arbitrates under the new one.  In-flight packets keep their stamped
-  // relation, so their commitments stay coherent.
-  scratch_packets_.clear();
-  live_packets_.collect(scratch_packets_);
-  for (const std::uint32_t id : scratch_packets_) {
-    Packet& pkt = packets_[id];
-    if (pkt.injecting || pkt.committed_wait == kInvalidChannel) continue;
-    if (std::binary_search(switched.begin(), switched.end(), pkt.dst)) {
-      flight_.record({cycle_, obs::FlightKind::kWaitVoid, pkt.id,
-                      pkt.committed_wait, epoch});
-      pkt.committed_wait = kInvalidChannel;
-    }
-  }
-  if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kSwitch;
-    ev.cycle = cycle_;
-    ev.value = epoch;
-    ev.list.assign(switched.begin(), switched.end());
-    trace_->emit(ev);
-  }
+  emit({.kind = obs::EventKind::kSwitch, .cycle = cycle_,
+        .value = transition_.epoch(), .list = switched});
+  void_source_waits(switched);
   // Source-front headers toward switched destinations now draw candidates
   // from a different relation: every blocked header gets a fresh attempt.
   wake_blocked();
@@ -736,28 +656,9 @@ void Simulator::apply_guard_repair(const reconfig::GuardDecision& decision,
     const std::vector<NodeId> switched = transition_.apply(decision.cutover);
     ++stats_.rollbacks;
     stats_.rollback_dests += switched.size();
-    const std::uint32_t epoch = transition_.epoch();
-    flight_.record({cycle_, obs::FlightKind::kRollback,
-                    obs::FlightEvent::kNone, obs::FlightEvent::kNone, epoch});
-    scratch_packets_.clear();
-    live_packets_.collect(scratch_packets_);
-    for (const std::uint32_t id : scratch_packets_) {
-      Packet& pkt = packets_[id];
-      if (pkt.injecting || pkt.committed_wait == kInvalidChannel) continue;
-      if (std::binary_search(switched.begin(), switched.end(), pkt.dst)) {
-        flight_.record({cycle_, obs::FlightKind::kWaitVoid, pkt.id,
-                        pkt.committed_wait, epoch});
-        pkt.committed_wait = kInvalidChannel;
-      }
-    }
-    if (trace_) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kRollback;
-      ev.cycle = cycle_;
-      ev.value = epoch;
-      ev.list.assign(switched.begin(), switched.end());
-      trace_->emit(ev);
-    }
+    emit({.kind = obs::EventKind::kRollback, .cycle = cycle_,
+          .value = transition_.epoch(), .list = switched});
+    void_source_waits(switched);
     wake_blocked();
     return;
   }
@@ -769,19 +670,12 @@ void Simulator::apply_guard_repair(const reconfig::GuardDecision& decision,
   pending_switch_ = decision.cutover;
   drain_switch_pending_ = true;
   ++stats_.drain_switches;
-  flight_.record({cycle_, obs::FlightKind::kDrainSwitch,
-                  obs::FlightEvent::kNone, obs::FlightEvent::kNone,
-                  transition_.epoch()});
-  if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kDrainSwitch;
-    ev.cycle = cycle_;
-    ev.value = transition_.epoch();
-    for (const reconfig::CutoverAssignment& a : pending_switch_.assignments) {
-      ev.list.push_back(a.dest);
-    }
-    trace_->emit(ev);
+  obs::TraceEvent ev{.kind = obs::EventKind::kDrainSwitch, .cycle = cycle_,
+                     .value = transition_.epoch()};
+  for (const reconfig::CutoverAssignment& a : pending_switch_.assignments) {
+    ev.list.push_back(a.dest);
   }
+  emit(ev);
   engage_drain();
 }
 
@@ -790,18 +684,9 @@ void Simulator::complete_drain_switch() {
   // stamped against any prior version — packet conservation carries over
   // because drains drop (and count) refused packets, never lose them.
   drain_switch_pending_ = false;
-  const std::vector<NodeId> switched = transition_.apply(pending_switch_);
-  const std::uint32_t epoch = transition_.epoch();
-  flight_.record({cycle_, obs::FlightKind::kDrainSwitch,
-                  obs::FlightEvent::kNone, obs::FlightEvent::kNone, epoch});
-  if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kDrainSwitch;
-    ev.cycle = cycle_;
-    ev.value = epoch;
-    ev.list.assign(switched.begin(), switched.end());
-    trace_->emit(ev);
-  }
+  std::vector<NodeId> switched = transition_.apply(pending_switch_);
+  emit({.kind = obs::EventKind::kDrainSwitch, .cycle = cycle_,
+        .value = transition_.epoch(), .list = std::move(switched)});
   // Resume admissions unless a recovery-policy drain had independently
   // engaged before the guard's (that one is permanent).
   draining_ = drain_was_engaged_;
@@ -814,23 +699,36 @@ void Simulator::complete_drain_switch() {
   wake_blocked();
 }
 
+void Simulator::void_wait(Packet& pkt, std::uint64_t epoch) {
+  emit({.kind = obs::EventKind::kWaitVoid, .cycle = cycle_, .packet = pkt.id,
+        .channel = pkt.committed_wait, .value = epoch});
+  pkt.committed_wait = kInvalidChannel;
+}
+
+void Simulator::void_source_waits(const std::vector<NodeId>& dests) {
+  // A source-queued packet toward a switched destination may have committed
+  // to a waiting channel under the old relation; void the commitment so it
+  // re-arbitrates under the new one.  In-flight packets keep their stamped
+  // relation, so their commitments stay coherent.
+  scratch_packets_.clear();
+  live_packets_.collect(scratch_packets_);
+  for (const std::uint32_t id : scratch_packets_) {
+    Packet& pkt = packets_[id];
+    if (pkt.injecting || pkt.committed_wait == kInvalidChannel) continue;
+    if (std::binary_search(dests.begin(), dests.end(), pkt.dst)) {
+      void_wait(pkt, transition_.epoch());
+    }
+  }
+}
+
 void Simulator::fire_retry(PacketId id) {
   Packet& pkt = packets_[id];
   pkt.aborted = false;
   pkt.last_progress = cycle_;
   sources_[pkt.src].queue.push_back(pkt.id);
   ++stats_.packets_retried;
-  flight_.record({cycle_, obs::FlightKind::kRetry, pkt.id,
-                  obs::FlightEvent::kNone, pkt.attempts});
-  if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kRetry;
-    ev.cycle = cycle_;
-    ev.packet = pkt.id;
-    ev.node = pkt.src;
-    ev.value = pkt.attempts;
-    trace_->emit(ev);
-  }
+  emit({.kind = obs::EventKind::kRetry, .cycle = cycle_, .packet = pkt.id,
+        .node = pkt.src, .value = pkt.attempts});
   touch_source(pkt.src);
 }
 
@@ -844,8 +742,8 @@ void Simulator::abort_packet(Packet& pkt) {
     capture_postmortem(obs::PostmortemReason::kRetryExhausted, pkt.id,
                        collect_blocked());
   }
-  flight_.record({cycle_, obs::FlightKind::kAbort, pkt.id,
-                  obs::FlightEvent::kNone, pkt.attempts + 1});
+  emit({.kind = obs::EventKind::kAbort, .cycle = cycle_, .packet = pkt.id,
+        .node = pkt.src, .value = pkt.attempts + 1u, .flag = retry});
   // Flush the worm: every channel the packet still owns holds only its own
   // flits (Assumption 4), so clearing the queues releases exactly this
   // packet's resources.
@@ -853,8 +751,8 @@ void Simulator::abort_packet(Packet& pkt) {
     if (net_.owner(c) != pkt.id) continue;
     net_.clear_queue(c);
     net_.release(c);
-    flight_.record({cycle_, obs::FlightKind::kRelease, pkt.id, c,
-                    obs::FlightEvent::kNone});
+    emit({.kind = obs::EventKind::kRelease, .cycle = cycle_, .packet = pkt.id,
+          .channel = c});
     touch_channel(c);
   }
   // Present in its source queue iff injection had not finished.
@@ -874,16 +772,6 @@ void Simulator::abort_packet(Packet& pkt) {
   ++activity_;
   touch_source(pkt.src);
   wake_blocked();
-  if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kAbort;
-    ev.cycle = cycle_;
-    ev.packet = pkt.id;
-    ev.node = pkt.src;
-    ev.value = pkt.attempts;
-    ev.flag = retry;
-    trace_->emit(ev);
-  }
   if (retry) {
     pkt.aborted = true;
     timed_.push(cycle_ + config_.recovery.backoff(pkt.attempts),
@@ -901,8 +789,7 @@ void Simulator::drop_packet(Packet& pkt) {
   ++stats_.packets_dropped;
   if (pkt.measured) ++stats_.measured_dropped;
   ++activity_;
-  flight_.record({cycle_, obs::FlightKind::kDrop, pkt.id,
-                  obs::FlightEvent::kNone, obs::FlightEvent::kNone});
+  emit({.kind = obs::EventKind::kDrop, .cycle = cycle_, .packet = pkt.id});
 }
 
 void Simulator::engage_drain() {
@@ -958,12 +845,13 @@ void Simulator::check_deadlock() {
   }
 
   const std::vector<BlockedPacket> blocked = collect_blocked();
+  emit({.kind = obs::EventKind::kDeadlockCheck, .cycle = cycle_,
+        .value = blocked.size()});
 
   auto owner_of = [this](ChannelId c) { return net_.owner(c); };
-  if (auto info = find_wait_cycle(blocked, owner_of, cycle_, trace_)) {
-    flight_.record({cycle_, obs::FlightKind::kDeadlock,
-                    obs::FlightEvent::kNone, obs::FlightEvent::kNone,
-                    static_cast<std::uint32_t>(info->packet_cycle.size())});
+  if (auto info = find_wait_cycle(blocked, owner_of, cycle_)) {
+    emit({.kind = obs::EventKind::kDeadlockDetected, .cycle = cycle_,
+          .value = info->packet_cycle.size(), .list = info->packet_cycle});
     if (config_.recovery.policy == ft::RecoveryPolicy::kHalt) {
       capture_postmortem(obs::PostmortemReason::kWaitCycle, kNoPacket,
                          blocked);
@@ -985,21 +873,15 @@ void Simulator::check_deadlock() {
     return;
   }
   if (in_flight_ > 0 && cycle_ - last_progress_ > config_.watchdog_cycles) {
-    flight_.record({cycle_, obs::FlightKind::kWatchdog,
-                    obs::FlightEvent::kNone, obs::FlightEvent::kNone,
-                    static_cast<std::uint32_t>(blocked.size())});
+    // A watchdog trip names no wait-for cycle; its value is the number of
+    // blocked packets instead (the flight record's aux).
+    emit({.kind = obs::EventKind::kDeadlockDetected, .cycle = cycle_,
+          .value = blocked.size(), .flag = true});
     capture_postmortem(obs::PostmortemReason::kWatchdog, kNoPacket, blocked);
     DeadlockInfo info;
     info.cycle = cycle_;
     info.from_watchdog = true;
     deadlock_ = std::move(info);
-    if (trace_) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kDeadlockDetected;
-      ev.cycle = cycle_;
-      ev.flag = true;  // watchdog, no explicit wait-for cycle
-      trace_->emit(ev);
-    }
   }
 }
 

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <optional>
 
 #include "wormnet/ft/fault_plan.hpp"
@@ -40,7 +39,6 @@
 #include "wormnet/reconfig/guard.hpp"
 #include "wormnet/reconfig/overlay.hpp"
 #include "wormnet/reconfig/transition_plan.hpp"
-#include "wormnet/routing/fault.hpp"
 #include "wormnet/routing/routing_function.hpp"
 #include "wormnet/sim/active_set.hpp"
 #include "wormnet/sim/deadlock_detector.hpp"
@@ -92,11 +90,11 @@ struct SimConfig {
 
   // Resilience (wormnet::ft).  `fault_plan` is a borrowed compiled plan
   // (nullable; must be compiled against the same topology and outlive the
-  // run): its steps fire between cycles and re-filter the live routing
-  // relation through a mutable fault overlay.  `recovery` decides what the
-  // detector and the per-packet no-progress timeout do about the resulting
-  // stalls; the default halt policy is byte-identical to the pre-ft
-  // simulator.
+  // run): its steps fire between cycles and update the live fault mask the
+  // allocator filters every candidate set through.  `recovery` decides what
+  // the detector and the per-packet no-progress timeout do about the
+  // resulting stalls; the default halt policy is byte-identical to the
+  // pre-ft simulator.
   const ft::CompiledFaultPlan* fault_plan = nullptr;
   ft::RecoveryConfig recovery;
 
@@ -241,12 +239,37 @@ class Simulator {
                           std::uint64_t epoch_index);
   /// Completes a pending drain-then-switch once the network is empty.
   void complete_drain_switch();
+  /// Voids `pkt`'s wait commitment (flight-recorded with `epoch`) so it
+  /// re-arbitrates over the current candidates.
+  void void_wait(Packet& pkt, std::uint64_t epoch);
+  /// Voids the commitments of source-queued packets toward `dests` (sorted)
+  /// after a cutover changed their relation.
+  void void_source_waits(const std::vector<NodeId>& dests);
   void fire_retry(PacketId id);
   void abort_packet(Packet& pkt);
   void drop_packet(Packet& pkt);
   void engage_drain();
 
   // --- observability (all no-ops when the handles are null) --------------
+  /// The single event path (DESIGN 3.5): sends `ev` to every sink that
+  /// takes its kind (obs::sinks_of) — the flight ring, the attached
+  /// TraceSink, or both.
+  void emit(const obs::TraceEvent& ev) {
+    const obs::EventSinks sinks = obs::sinks_of(ev.kind);
+    if (sinks.flight) flight_.record(ev);
+    if (sinks.trace && trace_ != nullptr) trace_->emit(ev);
+  }
+  /// True when some sink would take `kind`: per-flit sites test it before
+  /// building an event nobody reads.
+  [[nodiscard]] bool observed(obs::EventKind kind) const noexcept {
+    const obs::EventSinks sinks = obs::sinks_of(kind);
+    return (sinks.flight && flight_.capacity() != 0) ||
+           (sinks.trace && trace_ != nullptr);
+  }
+  /// One allocation attempt for the header of `pkt` at `node` (arrived on
+  /// `input`), emitting the hop's route-compute event on its first attempt
+  /// and the VC-allocate event on success.
+  std::optional<ChannelId> allocate(Packet& pkt, ChannelId input, NodeId node);
   void note_block_transition(Packet& pkt, ChannelId input, NodeId node,
                              bool acquired);
   void capture_postmortem(obs::PostmortemReason reason, PacketId victim,
@@ -257,12 +280,9 @@ class Simulator {
   const Topology* topo_;
   const routing::RoutingFunction* routing_;  ///< base relation (borrowed)
   SimConfig config_;
-  // Fault overlay state.  `degraded_` wraps the base relation over the
-  // overlay's live mask when a fault plan is present; it is declared before
-  // allocator_ so the allocator can bind to the effective relation in the
-  // member-init list.
+  // Fault overlay state: the live mask, declared before allocator_ so the
+  // allocator can borrow it in the member-init list.
   ft::FaultOverlay overlay_;
-  std::unique_ptr<routing::DynamicFaultRouting> degraded_;
   // Reconfig overlay state: current routing version per destination plus
   // the pure relation for every version.  Declared before allocator_ so the
   // allocator can borrow it in the member-init list; inert without a plan.

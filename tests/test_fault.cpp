@@ -107,24 +107,86 @@ TEST(Fault, MarkLinkFaultyReportsNonAdjacentPairs) {
   EXPECT_EQ(mark_link_faulty(topo, 0, 1, faulty), 0u);
 }
 
-TEST(Fault, DynamicOverlayTracksMaskMutation) {
+TEST(Fault, AllocatorFilterTracksMaskMutation) {
+  // The simulator's live fault filter is the allocator's borrowed mask: a
+  // kill or repair between attempts takes effect with no rebuild.
   const Topology topo = make_mesh({4, 4}, 2);
-  UnrestrictedMinimal base(topo);
+  const UnrestrictedMinimal base(topo);
   std::vector<bool> mask(topo.num_channels(), false);
-  DynamicFaultRouting routing(topo, base, mask);
+  sim::RouteAllocator allocator(topo, base, SelectionPolicy::kInOrder,
+                                sim::WaitOverride::kFollowRouting, 4, 1,
+                                &mask);
+  sim::NetworkState net(topo);
+  sim::Packet pkt;
+  pkt.id = 0;
+  pkt.src = 0;
+  pkt.dst = 5;  // diagonal neighbour: +x and +y are both productive
+  const ChannelSet before =
+      allocator.blocked_on(pkt, topology::kInvalidChannel, 0);
+  EXPECT_EQ(before, base.route(topology::kInvalidChannel, 0, 5));
 
-  const auto before = routing.route(topology::kInvalidChannel, 0, 1);
-  EXPECT_EQ(before, base.route(topology::kInvalidChannel, 0, 1));
-
-  // Kill the direct link mid-lifetime: the wrapper sees the new epoch with
-  // no rebuild, exactly what the simulator's fault overlay relies on.
+  // Kill the +x link mid-run: both its VCs leave the candidate set and the
+  // next acquisition takes a +y channel.
   EXPECT_EQ(mark_link_faulty(topo, 0, 1, mask), 2u);
-  EXPECT_TRUE(routing.route(topology::kInvalidChannel, 0, 1).empty());
-  EXPECT_TRUE(routing.waiting(topology::kInvalidChannel, 0, 1).empty());
+  const ChannelSet degraded =
+      allocator.blocked_on(pkt, topology::kInvalidChannel, 0);
+  EXPECT_EQ(degraded.size(), before.size() - 2);
+  for (const ChannelId c : degraded) EXPECT_EQ(topo.channel(c).dst, 4u);
+  const auto acquired =
+      allocator.attempt(pkt, topology::kInvalidChannel, 0, net);
+  ASSERT_TRUE(acquired.has_value());
+  EXPECT_FALSE(mask[*acquired]);
+  EXPECT_EQ(allocator.last_candidates(), degraded);
 
   // And a repair restores the original candidates.
   std::fill(mask.begin(), mask.end(), false);
-  EXPECT_EQ(routing.route(topology::kInvalidChannel, 0, 1), before);
+  EXPECT_EQ(allocator.blocked_on(pkt, topology::kInvalidChannel, 0), before);
+}
+
+TEST(Fault, WaitSpecificCommitmentSkipsDeadChannelsUnderTransition) {
+  // HPL waits only for the negative channel of its highest negative
+  // dimension.  With that channel dead, a blocked header must not commit to
+  // it: the commitment would pin it to an empty candidate set for good.  A
+  // pending transition plan routes every packet by its stamped pure
+  // relation, so the allocator's own fault filter is the only one in play.
+  const Topology topo = make_mesh({4, 4});
+  const auto hpl = core::make_algorithm("hpl", topo);
+  const reconfig::CompiledTransitionPlan plan = reconfig::compile(
+      reconfig::parse_transition_plan("switch:hpl-minimal@100000"), topo,
+      "hpl");
+  // Every -y link out of the middle row dies early and stays dead.
+  const ft::CompiledFaultPlan faults = ft::compile(
+      ft::parse_fault_plan("kill:4-0@20+kill:5-1@20+kill:6-2@20+kill:7-3@20+"
+                           "kill:8-4@20+kill:9-5@20+kill:10-6@20+kill:11-7@20"),
+      topo);
+  std::vector<bool> dead(topo.num_channels(), false);
+  for (const ChannelId c : faults.steps.front().down) dead[c] = true;
+
+  sim::SimConfig cfg;
+  cfg.injection_rate = 0.4;
+  cfg.packet_length = 4;
+  cfg.buffer_depth = 2;
+  cfg.seed = 5;
+  cfg.transition = &plan;
+  cfg.fault_plan = &faults;
+  sim::Simulator simulator(topo, *hpl, cfg);
+  std::size_t committed_checks = 0;
+  for (int cycle = 0; cycle < 1500; ++cycle) {
+    simulator.step();
+    if (simulator.now() <= faults.steps.front().cycle) continue;
+    // Headers in the network own their input channel.
+    for (ChannelId c = 0; c < topo.num_channels(); ++c) {
+      const sim::PacketId owner = simulator.network().owner(c);
+      if (owner == sim::kNoPacket) continue;
+      const ChannelId wait = simulator.packet(owner).committed_wait;
+      if (wait == topology::kInvalidChannel) continue;
+      ++committed_checks;
+      ASSERT_FALSE(dead[wait]) << "packet " << owner
+                               << " committed to dead channel " << wait
+                               << " at cycle " << simulator.now();
+    }
+  }
+  EXPECT_GT(committed_checks, 0u);  // the commitment path was exercised
 }
 
 TEST(Fault, MaskSizeMismatchThrows) {

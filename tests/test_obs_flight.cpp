@@ -15,10 +15,9 @@
 namespace wormnet::obs {
 namespace {
 
-FlightEvent event(std::uint64_t cycle, FlightKind kind,
-                  std::uint32_t packet = FlightEvent::kNone,
-                  std::uint32_t channel = FlightEvent::kNone) {
-  FlightEvent ev;
+TraceEvent event(std::uint64_t cycle, EventKind kind,
+                 std::uint32_t packet = kNoId, std::uint32_t channel = kNoId) {
+  TraceEvent ev;
   ev.cycle = cycle;
   ev.kind = kind;
   ev.packet = packet;
@@ -31,8 +30,8 @@ TEST(ObsFlight, RecordsInOrderUpToCapacity) {
   EXPECT_EQ(recorder.capacity(), 4u);
   EXPECT_EQ(recorder.size(), 0u);
 
-  recorder.record(event(10, FlightKind::kAcquire, 1, 2));
-  recorder.record(event(11, FlightKind::kWait, 1, 3));
+  recorder.record(event(10, EventKind::kVcAlloc, 1, 2));
+  recorder.record(event(11, EventKind::kBlock, 1, 3));
   EXPECT_EQ(recorder.size(), 2u);
   EXPECT_EQ(recorder.recorded(), 2u);
   EXPECT_EQ(recorder.dropped(), 0u);
@@ -40,15 +39,15 @@ TEST(ObsFlight, RecordsInOrderUpToCapacity) {
   const auto events = recorder.snapshot();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].cycle, 10u);
-  EXPECT_EQ(events[0].kind, FlightKind::kAcquire);
+  EXPECT_EQ(events[0].kind, EventKind::kVcAlloc);
   EXPECT_EQ(events[1].cycle, 11u);
-  EXPECT_EQ(events[1].kind, FlightKind::kWait);
+  EXPECT_EQ(events[1].kind, EventKind::kBlock);
 }
 
 TEST(ObsFlight, WraparoundKeepsNewestAndCountsDropped) {
   FlightRecorder recorder(3);
   for (std::uint64_t c = 0; c < 7; ++c) {
-    recorder.record(event(c, FlightKind::kRelease, 0, 0));
+    recorder.record(event(c, EventKind::kRelease, 0, 0));
   }
   EXPECT_EQ(recorder.size(), 3u);
   EXPECT_EQ(recorder.recorded(), 7u);
@@ -65,7 +64,7 @@ TEST(ObsFlight, WraparoundKeepsNewestAndCountsDropped) {
 TEST(ObsFlight, TailSlicesTheNewest) {
   FlightRecorder recorder(8);
   for (std::uint64_t c = 0; c < 5; ++c) {
-    recorder.record(event(c, FlightKind::kAcquire, 0, 0));
+    recorder.record(event(c, EventKind::kVcAlloc, 0, 0));
   }
   const auto tail = recorder.tail(2);
   ASSERT_EQ(tail.size(), 2u);
@@ -77,7 +76,7 @@ TEST(ObsFlight, TailSlicesTheNewest) {
 
 TEST(ObsFlight, ZeroCapacityDisablesRecording) {
   FlightRecorder recorder(0);
-  recorder.record(event(1, FlightKind::kDeadlock));
+  recorder.record(event(1, EventKind::kDeadlockDetected));
   EXPECT_EQ(recorder.capacity(), 0u);
   EXPECT_EQ(recorder.size(), 0u);
   EXPECT_EQ(recorder.recorded(), 0u);
@@ -87,9 +86,14 @@ TEST(ObsFlight, ZeroCapacityDisablesRecording) {
 
 TEST(ObsFlight, ClearResetsEverything) {
   FlightRecorder recorder(2);
-  recorder.record(event(1, FlightKind::kFault));
-  recorder.record(event(2, FlightKind::kRepair));
-  recorder.record(event(3, FlightKind::kDrop));
+  TraceEvent fault = event(1, EventKind::kFault);
+  fault.list = {4};
+  TraceEvent repair = event(2, EventKind::kRepair);
+  repair.list = {4};
+  recorder.record(fault);
+  recorder.record(repair);
+  recorder.record(event(3, EventKind::kDrop));
+  EXPECT_EQ(recorder.recorded(), 3u);
   recorder.clear();
   EXPECT_EQ(recorder.size(), 0u);
   EXPECT_EQ(recorder.recorded(), 0u);
@@ -98,17 +102,61 @@ TEST(ObsFlight, ClearResetsEverything) {
 }
 
 TEST(ObsFlight, KindNamesAreStable) {
-  EXPECT_STREQ(to_string(FlightKind::kAcquire), "acquire");
-  EXPECT_STREQ(to_string(FlightKind::kRelease), "release");
-  EXPECT_STREQ(to_string(FlightKind::kWait), "wait");
-  EXPECT_STREQ(to_string(FlightKind::kWaitVoid), "wait_void");
-  EXPECT_STREQ(to_string(FlightKind::kFault), "fault");
-  EXPECT_STREQ(to_string(FlightKind::kRepair), "repair");
-  EXPECT_STREQ(to_string(FlightKind::kAbort), "abort");
-  EXPECT_STREQ(to_string(FlightKind::kRetry), "retry");
-  EXPECT_STREQ(to_string(FlightKind::kDrop), "drop");
-  EXPECT_STREQ(to_string(FlightKind::kDeadlock), "deadlock");
-  EXPECT_STREQ(to_string(FlightKind::kWatchdog), "watchdog");
+  auto name = [](EventKind kind, bool flag = false) {
+    FlightEvent ev;
+    ev.kind = kind;
+    ev.flag = flag;
+    return std::string(flight_name(ev));
+  };
+  EXPECT_EQ(name(EventKind::kVcAlloc), "acquire");
+  EXPECT_EQ(name(EventKind::kRelease), "release");
+  EXPECT_EQ(name(EventKind::kBlock), "wait");
+  EXPECT_EQ(name(EventKind::kWaitVoid), "wait_void");
+  EXPECT_EQ(name(EventKind::kFault), "fault");
+  EXPECT_EQ(name(EventKind::kRepair), "repair");
+  EXPECT_EQ(name(EventKind::kAbort), "abort");
+  EXPECT_EQ(name(EventKind::kRetry), "retry");
+  EXPECT_EQ(name(EventKind::kDrop), "drop");
+  EXPECT_EQ(name(EventKind::kDeadlockDetected), "deadlock");
+  EXPECT_EQ(name(EventKind::kDeadlockDetected, /*flag=*/true), "watchdog");
+  EXPECT_EQ(name(EventKind::kSwitch), "switch");
+  EXPECT_EQ(name(EventKind::kRollback), "rollback");
+  EXPECT_EQ(name(EventKind::kDrainSwitch), "drain-switch");
+}
+
+TEST(ObsFlight, ProjectionKeepsTheCompactFields) {
+  FlightRecorder recorder(8);
+  TraceEvent acquire = event(1, EventKind::kVcAlloc, 7, 12);
+  acquire.node = 3;
+  acquire.channel2 = 9;  // input channel
+  recorder.record(acquire);
+  TraceEvent wait = event(2, EventKind::kBlock, 7);
+  wait.node = 4;
+  wait.channel2 = 12;
+  wait.list = {13, 14};  // waiting set: trace-only payload
+  recorder.record(wait);
+  TraceEvent fault = event(3, EventKind::kFault);
+  fault.value = 2;  // epoch
+  fault.list = {5, 6};
+  recorder.record(fault);
+  TraceEvent watchdog = event(4, EventKind::kDeadlockDetected);
+  watchdog.value = 11;  // blocked packets
+  watchdog.flag = true;
+  recorder.record(watchdog);
+
+  const auto events = recorder.snapshot();
+  ASSERT_EQ(events.size(), 5u);  // one record per faulted channel
+  EXPECT_EQ(events[0].packet, 7u);
+  EXPECT_EQ(events[0].channel, 12u);
+  EXPECT_EQ(events[0].aux, 9u);
+  EXPECT_EQ(events[1].channel, 12u);
+  EXPECT_EQ(events[1].aux, 4u);
+  EXPECT_EQ(events[2].channel, 5u);
+  EXPECT_EQ(events[3].channel, 6u);
+  EXPECT_EQ(events[3].aux, 2u);
+  EXPECT_EQ(events[3].packet, FlightEvent::kNone);
+  EXPECT_STREQ(flight_name(events[4]), "watchdog");
+  EXPECT_EQ(events[4].aux, 11u);
 }
 
 /// The DESIGN 3.9 contract, observed end to end: two identical runs record
@@ -129,7 +177,7 @@ TEST(ObsFlight, SimulatorStreamIsDeterministic) {
     (void)simulator.run();
     std::ostringstream os;
     for (const FlightEvent& ev : simulator.flight().snapshot()) {
-      os << ev.cycle << '/' << to_string(ev.kind) << '/' << ev.packet << '/'
+      os << ev.cycle << '/' << flight_name(ev) << '/' << ev.packet << '/'
          << ev.channel << '/' << ev.aux << '\n';
     }
     return os.str();
