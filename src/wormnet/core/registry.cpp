@@ -1,6 +1,7 @@
 #include "wormnet/core/registry.hpp"
 
-#include <sstream>
+#include <charconv>
+#include <limits>
 #include <stdexcept>
 
 #include "wormnet/routing/dateline.hpp"
@@ -184,58 +185,84 @@ std::vector<const AlgorithmEntry*> algorithms_for(const Topology& topo) {
 
 namespace {
 
+/// Splits on `sep`, keeping empty fields (so "mesh:4x4:" and "4xx4" carry
+/// an empty field the number parser rejects).
 std::vector<std::string> split_spec(const std::string& text, char sep) {
   std::vector<std::string> parts;
-  std::istringstream stream(text);
-  std::string part;
-  while (std::getline(stream, part, sep)) parts.push_back(part);
+  std::size_t begin = 0;
+  for (std::size_t at; (at = text.find(sep, begin)) != std::string::npos;
+       begin = at + 1) {
+    parts.push_back(text.substr(begin, at - begin));
+  }
+  parts.push_back(text.substr(begin));
   return parts;
 }
 
-std::uint32_t parse_count(const std::string& text, const std::string& spec) {
-  try {
-    const unsigned long value = std::stoul(text);
-    if (value == 0 || value > 1u << 20) {
-      throw std::invalid_argument("out of range");
-    }
-    return static_cast<std::uint32_t>(value);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad number '" + text + "' in topology spec '" +
-                                spec + "'");
+/// Parses a count in [1, max]: decimal digits only (no sign, whitespace or
+/// trailing characters), no silent narrowing.
+std::uint32_t parse_count(const std::string& text, const std::string& spec,
+                          const char* what, std::uint32_t max) {
+  std::uint32_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value == 0 ||
+      value > max) {
+    throw std::invalid_argument("bad " + std::string(what) + " '" + text +
+                                "' in topology spec '" + spec +
+                                "' (expected an integer in 1.." +
+                                std::to_string(max) + ")");
   }
+  return value;
 }
 
 }  // namespace
 
 topology::Topology make_topology(const std::string& spec) {
   const auto parts = split_spec(spec, ':');
-  if (parts.empty()) throw std::invalid_argument("empty topology spec");
   const std::string& kind = parts[0];
-  if (kind == "incoherent") return routing::make_incoherent_net();
+  if (kind.empty()) throw std::invalid_argument("empty topology spec");
+  if (kind == "incoherent") {
+    if (parts.size() > 1) {
+      throw std::invalid_argument("topology spec '" + spec +
+                                  "': incoherent takes no fields");
+    }
+    return routing::make_incoherent_net();
+  }
+  if (kind != "mesh" && kind != "torus" && kind != "hypercube" &&
+      kind != "ring" && kind != "uniring") {
+    throw std::invalid_argument("unknown topology kind: " + kind);
+  }
   if (parts.size() < 2) {
     throw std::invalid_argument("topology spec needs a size: " + spec);
   }
-  const std::uint8_t vcs =
+  if (parts.size() > 3) {
+    throw std::invalid_argument("topology spec '" + spec +
+                                "' has too many fields (KIND:SIZE[:VCS])");
+  }
+  constexpr std::uint32_t kMaxCount = 1u << 20;
+  const auto vcs = static_cast<std::uint8_t>(
       parts.size() > 2
-          ? static_cast<std::uint8_t>(parse_count(parts[2], spec))
-          : 1;
+          ? parse_count(parts[2], spec, "VC count",
+                        std::numeric_limits<std::uint8_t>::max())
+          : 1);
   if (kind == "hypercube") {
-    return topology::make_hypercube(parse_count(parts[1], spec), vcs);
+    return topology::make_hypercube(
+        parse_count(parts[1], spec, "dimension", kMaxCount), vcs);
   }
   if (kind == "ring") {
-    return topology::make_ring(parse_count(parts[1], spec), vcs);
+    return topology::make_ring(parse_count(parts[1], spec, "size", kMaxCount),
+                               vcs);
   }
   if (kind == "uniring") {
-    return topology::make_unidirectional_ring(parse_count(parts[1], spec),
-                                              vcs);
+    return topology::make_unidirectional_ring(
+        parse_count(parts[1], spec, "size", kMaxCount), vcs);
   }
   std::vector<std::uint32_t> radices;
   for (const std::string& r : split_spec(parts[1], 'x')) {
-    radices.push_back(parse_count(r, spec));
+    radices.push_back(parse_count(r, spec, "radix", kMaxCount));
   }
   if (kind == "mesh") return topology::make_mesh(radices, vcs);
-  if (kind == "torus") return topology::make_torus(radices, vcs);
-  throw std::invalid_argument("unknown topology kind: " + kind);
+  return topology::make_torus(radices, vcs);
 }
 
 std::string canonical_algorithm_name(const std::string& name,

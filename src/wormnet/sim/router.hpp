@@ -1,7 +1,8 @@
 // Route computation + virtual-channel allocation for blocked packet headers.
 //
 // Implements both waiting disciplines of the theory:
-//   * wait-on-any  — the header re-arbitrates over every candidate each cycle
+//   * wait-on-any  — the header re-arbitrates over every candidate each time
+//     the simulator wakes it (a candidate was released)
 //   * wait-specific — on first blocking, the header commits to one waiting
 //     channel (the relation's waiting() choice) and only acquires that one
 // plus forced-path packets (witness replay), which behave as wait-specific on

@@ -106,6 +106,8 @@ Simulator::Simulator(const Topology& topo,
   src_fresh_.assign(nodes, 0);
   src_seen_.assign(nodes, 0);
   src_front_.assign(nodes, kNoPacket);
+  waiters_.resize(channels);
+  wait_gen_.assign(channels + nodes, 0);
   chan_len_.assign(channels, 0);
   // Per-packet no-progress stamps are only ever read by the recovery
   // timeout scan; under the halt policy the writes are dead stores, so the
@@ -245,10 +247,13 @@ void Simulator::generate_traffic() {
 void Simulator::allocate_outputs() {
   // Rotating start offsets keep allocation order from starving anyone
   // (Assumption 5 of the system model).  Only pending entries are visited,
-  // and a pending entry is skipped while stale: a failed attempt is pure
+  // and a pending entry is skipped while parked: a failed attempt is pure
   // (no RNG, no state change after the first at a hop), so its outcome can
-  // only change when a release or fault epoch bumps wake_epoch_.
+  // only change when a channel it arbitrated over is released (which wakes
+  // it through the waiter lists) or the candidate space changes (which
+  // bumps wake_epoch_).
   const std::size_t nodes = topo_->num_nodes();
+  const std::size_t channels = net_.num_channels();
 
   // Source (injection) allocation.
   if (!ready_src_.empty()) {
@@ -272,13 +277,13 @@ void Simulator::allocate_outputs() {
         touch_source(node);
       } else {
         note_block_transition(pkt, kInvalidChannel, node, /*acquired=*/false);
+        park(static_cast<std::uint32_t>(channels + node), pkt);
       }
     }
   }
 
   // Header VC allocation at router inputs.
   if (!alloc_pending_.empty()) {
-    const std::size_t channels = net_.num_channels();
     scratch_channels_.clear();
     alloc_pending_.collect_rotated(channels ? cycle_ % channels : 0,
                                    scratch_channels_);
@@ -302,6 +307,7 @@ void Simulator::allocate_outputs() {
         touch_channel(c);
       } else {
         note_block_transition(pkt, c, here, /*acquired=*/false);
+        park(c, pkt);
       }
     }
   }
@@ -309,8 +315,9 @@ void Simulator::allocate_outputs() {
 
 std::optional<ChannelId> Simulator::allocate(Packet& pkt, ChannelId input,
                                              NodeId node) {
-  // Blocked headers re-arbitrate every cycle, but only the first evaluation
-  // at a hop is a routing decision: one route-compute event per hop.
+  // A blocked header re-arbitrates each time it is woken, but only the first
+  // evaluation at a hop is a routing decision: one route-compute event per
+  // hop.
   const bool first_at_hop = pkt.trace_routes_emitted == pkt.path.size();
   const std::optional<ChannelId> acquired =
       allocator_.attempt(pkt, input, node, net_);
@@ -326,6 +333,39 @@ std::optional<ChannelId> Simulator::allocate(Packet& pkt, ChannelId input,
           .node = node, .channel = *acquired, .channel2 = in});
   }
   return acquired;
+}
+
+void Simulator::park(std::uint32_t token, const Packet& pkt) {
+  const std::uint32_t gen = ++wait_gen_[token];
+  auto enlist = [&](ChannelId c) {
+    std::vector<Waiter>& list = waiters_[c];
+    if (list.size() == list.capacity()) {
+      // Drop stale entries before the list would reallocate.
+      std::erase_if(list, [this](const Waiter& w) {
+        return w.gen != wait_gen_[w.token];
+      });
+    }
+    list.push_back({token, gen});
+  };
+  if (pkt.committed_wait != kInvalidChannel) {
+    enlist(pkt.committed_wait);
+    return;
+  }
+  for (const ChannelId c : allocator_.last_candidates()) enlist(c);
+}
+
+void Simulator::wake_waiters(ChannelId c) {
+  std::vector<Waiter>& list = waiters_[c];
+  const std::size_t channels = net_.num_channels();
+  for (const Waiter& w : list) {
+    if (w.gen != wait_gen_[w.token]) continue;
+    if (w.token < channels) {
+      alloc_fresh_[w.token] = 1;
+    } else {
+      src_fresh_[w.token - channels] = 1;
+    }
+  }
+  list.clear();
 }
 
 void Simulator::note_block_transition(Packet& pkt, ChannelId input,
@@ -442,7 +482,7 @@ void Simulator::move_flits() {
           net_.release(m.from);
           emit({.kind = obs::EventKind::kRelease, .cycle = cycle_,
                 .packet = owner, .channel = m.from});
-          wake_blocked();
+          wake_waiters(m.from);
         }
         if (observed(obs::EventKind::kLinkTraverse)) {
           emit({.kind = obs::EventKind::kLinkTraverse, .cycle = cycle_,
@@ -503,7 +543,7 @@ void Simulator::move_flits() {
         net_.release(c);
         emit({.kind = obs::EventKind::kRelease, .cycle = cycle_,
               .packet = pkt.id, .channel = c});
-        wake_blocked();
+        wake_waiters(c);
         finish_packet(pkt);
       }
       if (tail) {
@@ -1242,6 +1282,40 @@ void Simulator::validate_invariants() const {
     const bool ej =
         net_.occupancy(c) > 0 && net_.out_assigned(c) && net_.out_eject(c);
     if (ej != eject_ready_.contains(c)) fail("eject-ready set out of sync");
+  }
+  // A parked header (attempted since the last epoch bump, not woken since)
+  // must be asleep for a reason: every channel its next attempt would
+  // arbitrate over is owned and carries its live registration, so the
+  // release that frees one is the release that wakes it.
+  auto check_parked = [&](std::uint32_t token, const Packet& pkt,
+                          ChannelId input, NodeId node) {
+    for (const ChannelId x : allocator_.blocked_on(pkt, input, node)) {
+      if (net_.owner(x) == kNoPacket) fail("parked header has a free candidate");
+      const std::vector<Waiter>& list = waiters_[x];
+      if (std::none_of(list.begin(), list.end(), [&](const Waiter& w) {
+            return w.token == token && w.gen == wait_gen_[token];
+          })) {
+        fail("parked header missing from a candidate's waiter list");
+      }
+    }
+  };
+  const std::size_t channels = net_.num_channels();
+  for (ChannelId c = 0; c < channels; ++c) {
+    if (!alloc_pending_.contains(c) || alloc_fresh_[c] != 0 ||
+        alloc_seen_[c] != wake_epoch_) {
+      continue;
+    }
+    const Packet& pkt = packets_[net_.owner(c)];
+    const NodeId here = topo_->channel(c).dst;
+    if (here != pkt.dst) check_parked(c, pkt, c, here);
+  }
+  for (NodeId n = 0; n < topo_->num_nodes(); ++n) {
+    if (!ready_src_.contains(n) || src_fresh_[n] != 0 ||
+        src_seen_[n] != wake_epoch_) {
+      continue;
+    }
+    check_parked(static_cast<std::uint32_t>(channels + n),
+                 packets_[sources_[n].queue.front()], kInvalidChannel, n);
   }
   for (const Packet& pkt : packets_) {
     if (pkt.flits_injected > pkt.length || pkt.flits_ejected > pkt.length) {

@@ -14,13 +14,14 @@
 //     wait-specific), overridable per run.
 //
 // The core is event-driven (DESIGN 3.11): each phase iterates index sets of
-// pending work instead of polling every channel and node, blocked headers
-// re-arbitrate only when a channel release (or fault epoch) could have
-// changed the answer, timed work (fault steps, abort retries) sits in a
-// cycle-stamped event queue, and run() jumps quiescent spans directly to the
-// next scheduled event.  All of it is bit-exact with per-cycle polling: the
-// visit orders reproduce the polled scan orders, and skipped attempts are
-// provably side-effect-free (failed allocation attempts consume no RNG).
+// pending work instead of polling every channel and node, a blocked header
+// re-arbitrates only when a channel it waits on is released (or a fault,
+// transition or recovery event changes the candidate space), timed work
+// (fault steps, abort retries) sits in a cycle-stamped event queue, and
+// run() jumps quiescent spans directly to the next scheduled event.  All of
+// it is bit-exact with per-cycle polling: the visit orders reproduce the
+// polled scan orders, and skipped attempts are provably side-effect-free
+// (failed allocation attempts consume no RNG).
 //
 // Determinism: a single seed drives traffic and selection; identical configs
 // produce identical cycle-by-cycle behaviour.
@@ -210,9 +211,16 @@ class Simulator {
   /// any mutation of the node's source queue (or its front packet's
   /// injection state).
   void touch_source(NodeId n);
-  /// A channel was released (or the candidate space changed): every blocked
-  /// header becomes eligible for one fresh allocation attempt.
+  /// The candidate space changed (fault, transition, guard repair, drain
+  /// switch, abort): every blocked header becomes eligible for one fresh
+  /// allocation attempt.
   void wake_blocked() noexcept { ++wake_epoch_; }
+  /// Registers the blocked header at `token` on every channel its next
+  /// attempt will arbitrate over (its wait commitment if it holds one, else
+  /// the candidate set the failed attempt just saw).
+  void park(std::uint32_t token, const Packet& pkt);
+  /// Channel `c` was released: its live waiters get one fresh attempt.
+  void wake_waiters(ChannelId c);
   /// True when nothing can change before the next scheduled event: no flits
   /// can move, no stochastic window is open, no metrics stall counting is
   /// pending.  Only valid right after a cycle with zero activity.
@@ -325,18 +333,29 @@ class Simulator {
   std::vector<std::uint32_t> eject_count_;  ///< per-node eject_ready_ count
   IndexSet live_packets_;   ///< created, not finished/dropped
 
-  // Wake-on-release: a blocked header's allocation attempt is pure and
-  // RNG-free, so its outcome can only change when some channel is released
-  // or the candidate space itself changes (fault epoch, voided wait).  Each
-  // such event bumps wake_epoch_; a pending header is re-attempted only if
-  // it is fresh (never tried at this hop) or the epoch moved since its last
-  // attempt.
+  // Wake-on-release: a blocked header's failed allocation attempt is pure
+  // and RNG-free, so its outcome can only change when one of the channels
+  // it arbitrated over is released, or when the candidate space itself
+  // changes.  A pending header is re-attempted only if it is fresh (never
+  // tried at this hop, or woken by a release it waits on) or wake_epoch_
+  // moved since its last attempt.
   std::uint64_t wake_epoch_ = 1;
   std::vector<std::uint8_t> alloc_fresh_;   ///< per-channel: attempt pending
   std::vector<std::uint64_t> alloc_seen_;   ///< per-channel: epoch at attempt
   std::vector<std::uint8_t> src_fresh_;     ///< per-node: attempt pending
   std::vector<std::uint64_t> src_seen_;     ///< per-node: epoch at attempt
   std::vector<PacketId> src_front_;         ///< per-node: last-seen front
+  // Per-channel waiter lists.  A token names a blocked header: its input
+  // channel, or num_channels + node for a source front.  Each park bumps
+  // the token's generation, so entries from earlier parks are stale; they
+  // are skipped on wake and compacted away before a list would grow, which
+  // keeps at most one live entry per (token, channel).
+  struct Waiter {
+    std::uint32_t token = 0;
+    std::uint32_t gen = 0;
+  };
+  std::vector<std::vector<Waiter>> waiters_;  ///< per-channel
+  std::vector<std::uint32_t> wait_gen_;       ///< per-token generation
 
   // Owner packet length per channel, stamped at acquire: lets mid-worm
   // forwarding derive head/tail bits without touching the Packet structs.

@@ -187,5 +187,54 @@ INSTANTIATE_TEST_SUITE_P(
                       CubeCase{{5, 3}, true, 2},
                       CubeCase{{2, 2, 2, 2, 2}, false, 1}));
 
+// --- the shared topology-spec grammar (core::make_topology) --------------
+
+TEST(TopologySpec, AcceptsWellFormedSpecs) {
+  EXPECT_EQ(core::make_topology("mesh:4x4").cube().vcs, 1);
+  EXPECT_EQ(core::make_topology("mesh:4x4:2").cube().vcs, 2);
+  EXPECT_EQ(core::make_topology("torus:4x4:3").cube().vcs, 3);
+  EXPECT_EQ(core::make_topology("ring:8:255").cube().vcs, 255);
+  EXPECT_EQ(core::make_topology("hypercube:3:2").num_nodes(), 8u);
+  EXPECT_EQ(core::make_topology("uniring:5").num_nodes(), 5u);
+  EXPECT_GT(core::make_topology("incoherent").num_nodes(), 0u);
+}
+
+TEST(TopologySpec, RejectsMalformedSpecsNamingThem) {
+  // VC counts that used to wrap through uint8_t (257 -> 1, 258 -> 2,
+  // 256 -> 0), numbers with signs, spaces or trailing characters, empty
+  // fields and extra fields.
+  for (const char* spec :
+       {"mesh:4x4:256", "mesh:4x4:257", "mesh:4x4:258", "mesh:4x4:0",
+        "mesh:4x4:2abc", "mesh:4x4:+2", "mesh:4x4:-2", "mesh:4x4: 2",
+        "mesh:4x4:0x2", "mesh:4x4:2:9", "mesh:4x4:", "mesh:4xx4",
+        "mesh:4x4x", "mesh:x4", "ring:8a", "ring:8:99999999999999999999",
+        "torus:4x4:3:", "incoherent:2", "mesh", "", ":4x4", "blob:4x4"}) {
+    SCOPED_TRACE(spec);
+    try {
+      (void)core::make_topology(spec);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      const std::string kind = std::string(spec).substr(
+          0, std::string(spec).find(':'));
+      EXPECT_TRUE(what.find(spec) != std::string::npos ||
+                  (!kind.empty() && what.find(kind) != std::string::npos) ||
+                  what.find("empty") != std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(TopologySpec, VcCountErrorNamesTheRange) {
+  try {
+    (void)core::make_topology("mesh:4x4:258");
+    FAIL() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "bad VC count '258' in topology spec 'mesh:4x4:258' "
+                 "(expected an integer in 1..255)");
+  }
+}
+
 }  // namespace
 }  // namespace wormnet::topology
