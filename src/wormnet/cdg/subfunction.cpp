@@ -79,24 +79,12 @@ SubfunctionWitness Subfunction::connectivity_witness() const {
       for (ChannelId c : topo.in_channels(v)) {
         const NodeId u = topo.channel(c).src;
         if (ok[u] || u == dest) continue;
-        if (!in_c1(c, dest)) continue;
-        // The hop must actually be supplied by R at u for dest (wildcard
-        // injection input keeps this conservative for C x N x N relations).
-        bool supplied = false;
-        for (ChannelId r : states_->routing().route(topology::kInvalidChannel,
-                                                    u, dest)) {
-          if (r == c) {
-            supplied = true;
-            break;
-          }
-        }
-        // Also accept hops supplied mid-route (reachable state with this
-        // successor) — needed for relations whose first hop differs.
-        if (!supplied && states_->reachable(c, dest)) supplied = true;
-        if (supplied) {
-          ok[u] = true;
-          stack.push_back(u);
-        }
+        // The hop must actually be supplied by R for dest, as a first hop at
+        // u or mid-route.  Every first hop is itself a reachable state of the
+        // memoized state graph, so reachability of (c, dest) covers both.
+        if (!in_c1(c, dest) || !states_->reachable(c, dest)) continue;
+        ok[u] = true;
+        stack.push_back(u);
       }
     }
     for (NodeId u = 0; u < nodes; ++u) {

@@ -145,12 +145,13 @@ PostmortemReport cross_reference(const cdg::StateGraph& states,
   report.runtime = runtime;
 
   const graph::Digraph cdg_graph = cdg::build_cdg(states);
+  // The subfunction outlives the ECDG: edge kinds are classified from it.
+  std::optional<cdg::Subfunction> sub;
   std::optional<cdg::ExtendedCdg> ecdg;
   if (search.found) {
     report.subfunction = search.report.subfunction_label;
-    const cdg::Subfunction sub(states, search.c1,
-                               search.report.subfunction_label);
-    ecdg = cdg::build_extended_cdg(sub);
+    sub.emplace(states, search.c1, search.report.subfunction_label);
+    ecdg = cdg::build_extended_cdg(*sub);
   }
 
   for (const auto& rc : runtime.cycles) {
@@ -167,7 +168,7 @@ PostmortemReport cross_reference(const cdg::StateGraph& states,
       e.in_cdg = cdg_graph.has_edge(e.from, e.to);
       if (ecdg && ecdg->graph.has_edge(e.from, e.to)) {
         e.escape = true;
-        e.kind = cdg::to_string(ecdg->kind(e.from, e.to));
+        e.kind = cdg::to_string(cdg::classify_edge(*sub, e.from, e.to));
       }
       x.maps_to_cdg = x.maps_to_cdg && e.in_cdg;
       x.escape_confined = x.escape_confined && e.escape;
