@@ -104,6 +104,23 @@ TEST(DuatoChecker, GreedyFindsEscapeWithoutClassHints) {
   EXPECT_TRUE(result.found);  // no cycles at all: full set works
 }
 
+TEST(DuatoChecker, CandidatesTriedCountsGreedyExpansions) {
+  // One VC and more channels than the exhaustive limit: the failed search
+  // ends in the greedy stage, and every expansion is a candidate tried.
+  const Topology topo = core::make_topology("ring:8");
+  const auto routing = core::make_algorithm("unrestricted", topo);
+  const StateGraph states(topo, *routing);
+  obs::CheckerStats stats;
+  SearchResult result;
+  {
+    const obs::ProbeScope scope(stats);
+    result = search(states);
+  }
+  EXPECT_FALSE(result.found);
+  EXPECT_GT(stats.greedy_expansions, 0u);
+  EXPECT_EQ(result.candidates_tried, stats.subfunction_candidates);
+}
+
 TEST(DuatoChecker, CheckReportsEdgeCounts) {
   const Topology topo = make_mesh({4, 4}, 2);
   const auto routing = routing::make_duato_mesh(topo);
