@@ -215,6 +215,46 @@ std::uint32_t parse_count(const std::string& text, const std::string& spec,
   return value;
 }
 
+/// a * b, saturating at the largest uint64 instead of wrapping.
+std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t product = 0;
+  return __builtin_mul_overflow(a, b, &product)
+             ? std::numeric_limits<std::uint64_t>::max()
+             : product;
+}
+
+/// Channels of the k-ary cube make_cube would build (saturating): per
+/// dimension of radix k, one link per node and direction, less the k-th
+/// when the dimension does not wrap (radix-2 dimensions never wrap unless
+/// unidirectional), times the VC count.
+std::uint64_t cube_channels(const std::vector<std::uint32_t>& radices,
+                            bool wrap, bool unidirectional, std::uint8_t vcs) {
+  std::uint64_t nodes = 1;
+  for (std::uint32_t k : radices) nodes = saturating_mul(nodes, k);
+  std::uint64_t per_vc = 0;
+  for (std::uint32_t k : radices) {
+    const bool wraps = wrap && (k > 2 || unidirectional);
+    const std::uint64_t links = wraps ? nodes : nodes / k * (k - 1);
+    const std::uint64_t both = saturating_mul(links, unidirectional ? 1 : 2);
+    per_vc = both > std::numeric_limits<std::uint64_t>::max() - per_vc
+                 ? std::numeric_limits<std::uint64_t>::max()
+                 : per_vc + both;
+  }
+  return saturating_mul(per_vc, vcs);
+}
+
+/// Refuses a spec over kMaxTopologyChannels, naming it and the count.
+void check_channel_cap(std::uint64_t channels, const std::string& spec) {
+  if (channels <= kMaxTopologyChannels) return;
+  throw std::invalid_argument(
+      "topology spec '" + spec + "' has " +
+      (channels == std::numeric_limits<std::uint64_t>::max()
+           ? std::string("over 2^64")
+           : std::to_string(channels)) +
+      " channels, more than the limit of " +
+      std::to_string(kMaxTopologyChannels));
+}
+
 }  // namespace
 
 topology::Topology make_topology(const std::string& spec) {
@@ -246,21 +286,26 @@ topology::Topology make_topology(const std::string& spec) {
                         std::numeric_limits<std::uint8_t>::max())
           : 1);
   if (kind == "hypercube") {
-    return topology::make_hypercube(
-        parse_count(parts[1], spec, "dimension", kMaxCount), vcs);
-  }
-  if (kind == "ring") {
-    return topology::make_ring(parse_count(parts[1], spec, "size", kMaxCount),
-                               vcs);
-  }
-  if (kind == "uniring") {
-    return topology::make_unidirectional_ring(
-        parse_count(parts[1], spec, "size", kMaxCount), vcs);
+    // n dimensions of radix 2: 2^n nodes, n links out of each per VC.
+    const std::uint32_t n = parse_count(parts[1], spec, "dimension", kMaxCount);
+    const std::uint64_t nodes = n < 64 ? std::uint64_t{1} << n
+                                       : std::numeric_limits<std::uint64_t>::max();
+    check_channel_cap(saturating_mul(saturating_mul(n, nodes), vcs), spec);
+    return topology::make_hypercube(n, vcs);
   }
   std::vector<std::uint32_t> radices;
-  for (const std::string& r : split_spec(parts[1], 'x')) {
-    radices.push_back(parse_count(r, spec, "radix", kMaxCount));
+  if (kind == "ring" || kind == "uniring") {
+    radices.push_back(parse_count(parts[1], spec, "size", kMaxCount));
+  } else {
+    for (const std::string& r : split_spec(parts[1], 'x')) {
+      radices.push_back(parse_count(r, spec, "radix", kMaxCount));
+    }
   }
+  const bool uniring = kind == "uniring";
+  check_channel_cap(cube_channels(radices, kind != "mesh", uniring, vcs),
+                    spec);
+  if (kind == "ring") return topology::make_ring(radices[0], vcs);
+  if (uniring) return topology::make_unidirectional_ring(radices[0], vcs);
   if (kind == "mesh") return topology::make_mesh(radices, vcs);
   return topology::make_torus(radices, vcs);
 }

@@ -4,6 +4,7 @@
 // examples, so every binary spells algorithm names the same way.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -31,13 +32,22 @@ struct AlgorithmEntry {
 [[nodiscard]] std::vector<const AlgorithmEntry*> algorithms_for(
     const topology::Topology& topo);
 
+/// Largest network a topology spec may describe, in channels (counting
+/// every virtual channel).  torus:256x256:4 sits exactly at the cap; the
+/// benchmark and test networks are thousands of channels at most.  Every
+/// per-channel table (state graph, simulator, certificates) scales with
+/// this count, and the state graph with its product by the node count.
+inline constexpr std::uint64_t kMaxTopologyChannels = std::uint64_t{1} << 20;
+
 /// Parses a topology spec string, shared by every CLI binary so they all
 /// accept the same syntax:
 ///
 ///   mesh:4x4[:VCS]  torus:8x8[:VCS]  hypercube:N[:VCS]  ring:N[:VCS]
 ///   uniring:N[:VCS]  incoherent
 ///
-/// Throws std::invalid_argument on malformed specs.
+/// Throws std::invalid_argument on malformed specs, and on specs whose
+/// channel count (computed from the parsed fields before anything is
+/// allocated) exceeds kMaxTopologyChannels.
 [[nodiscard]] topology::Topology make_topology(const std::string& spec);
 
 /// Resolves CLI-friendly aliases to registry names for `topo`:

@@ -12,9 +12,9 @@ namespace {
   std::uint64_t n = 1;
   for (std::uint32_t k : radices) {
     if (k < 2) throw std::invalid_argument("radix must be >= 2");
-    n *= k;
+    n *= k;  // n <= 2^24 before the product, so it cannot wrap
+    if (n > (1u << 24)) throw std::invalid_argument("network too large");
   }
-  if (n > (1u << 24)) throw std::invalid_argument("network too large");
   return static_cast<NodeId>(n);
 }
 

@@ -236,5 +236,57 @@ TEST(TopologySpec, VcCountErrorNamesTheRange) {
   }
 }
 
+TEST(TopologySpec, RefusesNetworksOverTheChannelCapBeforeBuilding) {
+  // At the cap: 65536 nodes x 4 directions x 4 VCs = 2^20 channels.
+  EXPECT_EQ(core::kMaxTopologyChannels, 1u << 20);
+  // Each of these would allocate gigabytes (or wrap a 64-bit count) if
+  // built; the count is computed from the parsed fields and refused first.
+  for (const char* spec :
+       {"mesh:4096x4096:255", "torus:256x256:5", "mesh:1048576x1048576",
+        "torus:1048576x1048576x1048576x1048576:255", "hypercube:20",
+        "hypercube:64", "hypercube:1048576:255", "ring:1048576",
+        "uniring:1048576:2", "mesh:1024x1024:2"}) {
+    SCOPED_TRACE(spec);
+    try {
+      (void)core::make_topology(spec);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + spec + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("more than the limit of 1048576"), std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(TopologySpec, ChannelCapErrorGivesTheCount) {
+  try {
+    (void)core::make_topology("mesh:4096x4096:255");
+    FAIL() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "topology spec 'mesh:4096x4096:255' has 17108582400 "
+                 "channels, more than the limit of 1048576");
+  }
+  try {
+    (void)core::make_topology("hypercube:64");
+    FAIL() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "topology spec 'hypercube:64' has over 2^64 channels, more "
+                 "than the limit of 1048576");
+  }
+}
+
+TEST(TopologySpec, BenchmarkNetworksAreUnderTheChannelCap) {
+  for (const char* spec : {"torus:16x16:3", "mesh:12x12:2", "torus:12x12:3",
+                           "hypercube:7:2", "uniring:5:2", "ring:2"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_LE(core::make_topology(spec).num_channels(),
+              core::kMaxTopologyChannels);
+  }
+}
+
 }  // namespace
 }  // namespace wormnet::topology
