@@ -249,7 +249,8 @@ TEST(Postmortem, ForgedCertificateRejectedYetFlagsContradiction) {
   EXPECT_TRUE(report.contradiction);
   for (const EdgeXref& e : report.cycles.front().edges) {
     EXPECT_TRUE(e.escape);
-    EXPECT_NE(e.kind, "adaptive");
+    // C1 is every channel: no excursions, so every dependency is direct.
+    EXPECT_EQ(e.kind, "direct");
   }
 }
 
