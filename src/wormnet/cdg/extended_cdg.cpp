@@ -67,7 +67,6 @@ ExtendedCdg build_extended_cdg(const Subfunction& sub) {
 
   ExtendedCdg out;
   out.graph = graph::Digraph(channels);
-  out.direct_only = graph::Digraph(channels);
 
   std::vector<bool> visited(channels);
   std::vector<ChannelId> stack;
@@ -83,7 +82,6 @@ ExtendedCdg build_extended_cdg(const Subfunction& sub) {
           ++out.direct_edges;
           if (!sub.in_c1(cj, dest)) ++out.cross_edges;
         }
-        out.direct_only.add_edge(ci, cj);
       }
 
       // Indirect (and indirect-cross) edges: the escape channels supplied

@@ -38,8 +38,7 @@ enum class DepKind : std::uint8_t {
 [[nodiscard]] const char* to_string(DepKind kind);
 
 struct ExtendedCdg {
-  graph::Digraph graph;        ///< all dependency edges
-  graph::Digraph direct_only;  ///< direct (+ direct cross) edges only
+  graph::Digraph graph;  ///< all dependency edges
   std::size_t direct_edges = 0;
   std::size_t indirect_edges = 0;        ///< indirect edges not already direct
   std::size_t cross_edges = 0;           ///< edges whose target is escape only
