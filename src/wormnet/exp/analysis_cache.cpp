@@ -2,15 +2,13 @@
 
 #include "wormnet/core/registry.hpp"
 #include "wormnet/core/verifier.hpp"
-#include "wormnet/ft/fault_plan.hpp"
 #include "wormnet/reconfig/union_routing.hpp"
-#include "wormnet/routing/fault.hpp"
 
 namespace wormnet::exp {
 
-const AnalysisEntry& AnalysisCache::get(const std::string& topo_spec,
-                                        const std::string& routing) {
-  const std::string key = topo_spec + "|" + routing;
+template <typename Fill>
+const AnalysisEntry& AnalysisCache::lookup_or_fill(const std::string& key,
+                                                   Fill&& fill) {
   Slot* slot = nullptr;
   {
     std::lock_guard lock(registry_mutex_);
@@ -29,137 +27,16 @@ const AnalysisEntry& AnalysisCache::get(const std::string& topo_spec,
     return slot->entry;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  obs::Profiler::Scope miss_timer(profiler_, "sweep.analysis");
-
-  AnalysisEntry entry;
-  entry.topo = std::make_shared<const topology::Topology>(
-      core::make_topology(topo_spec));
-  entry.routing = core::canonical_algorithm_name(routing, *entry.topo);
-  const auto algorithm = core::make_algorithm(entry.routing, *entry.topo);
-
-  core::VerifyOptions options;
-  options.method = core::Method::kDuato;
-  options.profiler = profiler_;
-  if (certify_) {
-    core::CertifiedVerdict certified =
-        core::verify_certified(*entry.topo, *algorithm, options);
-    entry.duato = std::move(certified.verdict);
-    if (certified.certificate) {
-      // Rebind the labels to the registry coordinates so the certificate
-      // names the exact spec + canonical algorithm it was emitted for.
-      certified.certificate->topology = topo_spec;
-      certified.certificate->routing = entry.routing;
-      certified.certificate->fault_mask.clear();
-      entry.certificate = std::make_shared<const audit::Certificate>(
-          std::move(*certified.certificate));
-    }
-  } else {
-    entry.duato = core::verify(*entry.topo, *algorithm, options);
-  }
-  entry.certified =
-      entry.duato.conclusion == core::Conclusion::kDeadlockFree;
-  if (with_cwg_) {
-    options.method = core::Method::kCwg;
-    entry.cwg = core::verify(*entry.topo, *algorithm, options);
-  }
-
-  slot->entry = std::move(entry);
+  slot->entry = fill();
   slot->ready.store(true, std::memory_order_release);
   return slot->entry;
 }
 
-const AnalysisEntry& AnalysisCache::get_degraded(
-    const std::string& topo_spec, const std::string& routing,
-    const std::vector<bool>& mask) {
-  const std::string key =
-      topo_spec + "|" + routing + "|" + ft::mask_to_hex(mask);
-  Slot* slot = nullptr;
-  {
-    std::lock_guard lock(registry_mutex_);
-    auto& owned = slots_[key];
-    if (!owned) owned = std::make_unique<Slot>();
-    slot = owned.get();
-  }
-  if (slot->ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot->entry;
-  }
-  std::lock_guard fill_lock(slot->fill);
-  if (slot->ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot->entry;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-
-  // The pristine entry shares the topology and resolves the canonical name;
-  // get() is safe to call here (it only ever takes registry_mutex_ and its
-  // own slot's fill mutex, never this one).
-  const AnalysisEntry& base = get(topo_spec, routing);
-  obs::Profiler::Scope miss_timer(profiler_, "sweep.epoch_reverify");
-
-  AnalysisEntry entry;
-  entry.topo = base.topo;
-  entry.routing = base.routing;
-  routing::FaultAwareRouting degraded(
-      *entry.topo, core::make_algorithm(entry.routing, *entry.topo), mask);
-
-  core::VerifyOptions options;
-  options.method = core::Method::kDuato;
-  options.profiler = profiler_;
-  if (certify_) {
-    core::CertifiedVerdict certified =
-        core::verify_certified(*entry.topo, degraded, options);
-    entry.duato = std::move(certified.verdict);
-    if (certified.certificate) {
-      certified.certificate->topology = topo_spec;
-      certified.certificate->routing = entry.routing;
-      certified.certificate->fault_mask = ft::mask_to_hex(mask);
-      entry.certificate = std::make_shared<const audit::Certificate>(
-          std::move(*certified.certificate));
-    }
-  } else {
-    entry.duato = core::verify(*entry.topo, degraded, options);
-  }
-  entry.certified =
-      entry.duato.conclusion == core::Conclusion::kDeadlockFree;
-
-  slot->entry = std::move(entry);
-  slot->ready.store(true, std::memory_order_release);
-  return slot->entry;
-}
-
-const AnalysisEntry& AnalysisCache::get_transition(
-    const std::string& topo_spec, const reconfig::UnionSpec& spec) {
-  const std::string key = topo_spec + "|transition|" + spec.to_string();
-  Slot* slot = nullptr;
-  {
-    std::lock_guard lock(registry_mutex_);
-    auto& owned = slots_[key];
-    if (!owned) owned = std::make_unique<Slot>();
-    slot = owned.get();
-  }
-  if (slot->ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot->entry;
-  }
-  std::lock_guard fill_lock(slot->fill);
-  if (slot->ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot->entry;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-
-  // Shares the topology with the base pair's entry (see get_degraded for
-  // why the nested get() is lock-safe).
-  const AnalysisEntry& base = get(topo_spec, spec.names.front());
-  obs::Profiler::Scope miss_timer(profiler_, "sweep.epoch_reverify");
-
-  AnalysisEntry entry;
-  entry.topo = base.topo;
-  entry.routing = base.routing;
-  const std::unique_ptr<reconfig::UnionRouting> relation =
-      reconfig::make_union_routing(*entry.topo, spec);
-
+void AnalysisCache::analyse(AnalysisEntry& entry, const std::string& topo_spec,
+                            const std::string& transition,
+                            const std::string& mask_hex, bool with_cwg) {
+  const auto relation = reconfig::make_bound_relation(
+      *entry.topo, entry.routing, transition, mask_hex);
   core::VerifyOptions options;
   options.method = core::Method::kDuato;
   options.profiler = profiler_;
@@ -168,92 +45,60 @@ const AnalysisEntry& AnalysisCache::get_transition(
         core::verify_certified(*entry.topo, *relation, options);
     entry.duato = std::move(certified.verdict);
     if (certified.certificate) {
+      // Rebind the labels to the registry coordinates so the certificate
+      // names the exact binding it was emitted for.
       certified.certificate->topology = topo_spec;
       certified.certificate->routing = entry.routing;
-      certified.certificate->fault_mask.clear();
-      certified.certificate->transition = spec.to_string();
+      certified.certificate->transition = transition;
+      certified.certificate->fault_mask = mask_hex;
       entry.certificate = std::make_shared<const audit::Certificate>(
           std::move(*certified.certificate));
     }
   } else {
     entry.duato = core::verify(*entry.topo, *relation, options);
   }
-  entry.certified =
-      entry.duato.conclusion == core::Conclusion::kDeadlockFree;
-
-  slot->entry = std::move(entry);
-  slot->ready.store(true, std::memory_order_release);
-  return slot->entry;
+  entry.certified = entry.duato.conclusion == core::Conclusion::kDeadlockFree;
+  if (with_cwg) {
+    options.method = core::Method::kCwg;
+    entry.cwg = core::verify(*entry.topo, *relation, options);
+  }
 }
 
-const AnalysisEntry& AnalysisCache::get_composed(
-    const std::string& topo_spec, const reconfig::UnionSpec& spec,
-    const std::vector<bool>& mask) {
-  bool pristine = true;
-  for (const bool dead : mask) {
-    if (dead) {
-      pristine = false;
-      break;
-    }
-  }
-  if (pristine) return get_transition(topo_spec, spec);
+const AnalysisEntry& AnalysisCache::get(const std::string& topo_spec,
+                                        const std::string& routing) {
+  return lookup_or_fill(topo_spec + "|" + routing, [&] {
+    obs::Profiler::Scope miss_timer(profiler_, "sweep.analysis");
+    AnalysisEntry entry;
+    entry.topo = std::make_shared<const topology::Topology>(
+        core::make_topology(topo_spec));
+    entry.routing = core::canonical_algorithm_name(routing, *entry.topo);
+    analyse(entry, topo_spec, "", "", with_cwg_);
+    return entry;
+  });
+}
 
-  const std::string hex = ft::mask_to_hex(mask);
-  const std::string key =
-      topo_spec + "|transition|" + spec.to_string() + "|" + hex;
-  Slot* slot = nullptr;
-  {
-    std::lock_guard lock(registry_mutex_);
-    auto& owned = slots_[key];
-    if (!owned) owned = std::make_unique<Slot>();
-    slot = owned.get();
+const AnalysisEntry& AnalysisCache::get_epoch(
+    const std::string& topo_spec, const std::string& routing,
+    const reconfig::UnionSpec* transition, const std::string& mask_hex) {
+  if (transition == nullptr && mask_hex.empty()) {
+    return get(topo_spec, routing);
   }
-  if (slot->ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot->entry;
-  }
-  std::lock_guard fill_lock(slot->fill);
-  if (slot->ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot->entry;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-
-  // Shares the topology with the base pair's entry (see get_degraded for
-  // why the nested get() is lock-safe).
-  const AnalysisEntry& base = get(topo_spec, spec.names.front());
-  obs::Profiler::Scope miss_timer(profiler_, "sweep.epoch_reverify");
-
-  AnalysisEntry entry;
-  entry.topo = base.topo;
-  entry.routing = base.routing;
-  routing::FaultAwareRouting composed(
-      *entry.topo, reconfig::make_union_routing(*entry.topo, spec), mask);
-
-  core::VerifyOptions options;
-  options.method = core::Method::kDuato;
-  options.profiler = profiler_;
-  if (certify_) {
-    core::CertifiedVerdict certified =
-        core::verify_certified(*entry.topo, composed, options);
-    entry.duato = std::move(certified.verdict);
-    if (certified.certificate) {
-      certified.certificate->topology = topo_spec;
-      certified.certificate->routing = entry.routing;
-      certified.certificate->fault_mask = hex;
-      certified.certificate->transition = spec.to_string();
-      entry.certificate = std::make_shared<const audit::Certificate>(
-          std::move(*certified.certificate));
-    }
-  } else {
-    entry.duato = core::verify(*entry.topo, composed, options);
-  }
-  entry.certified =
-      entry.duato.conclusion == core::Conclusion::kDeadlockFree;
-
-  slot->entry = std::move(entry);
-  slot->ready.store(true, std::memory_order_release);
-  return slot->entry;
+  const std::string spec = transition ? transition->to_string() : "";
+  std::string key =
+      topo_spec + (transition ? "|transition|" + spec : "|" + routing);
+  if (!mask_hex.empty()) key += "|" + mask_hex;
+  return lookup_or_fill(key, [&] {
+    // The pristine entry shares the topology and resolves the canonical
+    // name; get() is safe to call here (it only ever takes registry_mutex_
+    // and its own slot's fill mutex, never this one).
+    const AnalysisEntry& base = get(topo_spec, routing);
+    obs::Profiler::Scope miss_timer(profiler_, "sweep.epoch_reverify");
+    AnalysisEntry entry;
+    entry.topo = base.topo;
+    entry.routing = base.routing;
+    analyse(entry, topo_spec, spec, mask_hex, /*with_cwg=*/false);
+    return entry;
+  });
 }
 
 std::vector<CertificateRecord> AnalysisCache::certificates() {

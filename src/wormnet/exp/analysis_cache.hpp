@@ -74,36 +74,20 @@ class AnalysisCache {
   const AnalysisEntry& get(const std::string& topo_spec,
                            const std::string& routing);
 
-  /// Like get(), but for the relation degraded by a fault mask (`mask[c]`
-  /// marks channel c dead): the verdict of FaultAwareRouting over the base
-  /// algorithm.  Keyed by (topo spec, routing, mask), so a sweep re-verifies
-  /// each distinct fault epoch exactly once no matter how many points —
-  /// or threads — pass through it.  CWG analysis is never run for degraded
-  /// relations (epoch certification only needs the Duato verdict).
-  const AnalysisEntry& get_degraded(const std::string& topo_spec,
-                                    const std::string& routing,
-                                    const std::vector<bool>& mask);
-
-  /// Like get(), but for the union relation of one reconfiguration epoch
-  /// (reconfig::UnionSpec, serialized into the key): the verdict of
-  /// UnionRouting over the spec's member relations.  Keyed by
-  /// (topo spec, spec.to_string()), so a sweep re-verifies each distinct
-  /// transition epoch exactly once no matter how many points — or threads —
-  /// pass through it.  Emitted certificates carry the spec in their
-  /// `transition` binding and the base relation as `routing`.
-  const AnalysisEntry& get_transition(const std::string& topo_spec,
-                                      const reconfig::UnionSpec& spec);
-
-  /// Like get_transition(), but for a *composed* epoch: the union relation
-  /// additionally degraded by a live fault mask (DESIGN 3.13) — the relation
-  /// a fault x reconfig point actually runs between two of its steps.
-  /// Keyed by (topo spec, spec.to_string(), mask hex); a pristine mask
-  /// delegates to get_transition so the pure epoch owns a single slot.
-  /// Emitted certificates carry the spec in `transition` AND the mask in
-  /// `fault_mask`, so the auditor rebuilds FaultAwareRouting(UnionRouting).
-  const AnalysisEntry& get_composed(const std::string& topo_spec,
-                                    const reconfig::UnionSpec& spec,
-                                    const std::vector<bool>& mask);
+  /// Like get(), but for one verification epoch: the relation a certificate
+  /// binding names (reconfig::make_bound_relation) — `routing` (the base:
+  /// with a transition, the spec's first member), or the union relation of
+  /// `transition` when non-null, degraded by the fault mask `mask_hex` when
+  /// non-empty.  Keyed by (topo spec, routing or "transition|" + the spec,
+  /// mask), so a sweep re-verifies each distinct fault, transition or
+  /// composed epoch exactly once no matter how many points — or threads —
+  /// pass through it.  Emitted certificates carry the same binding.  CWG
+  /// analysis is never run for epochs (certification needs only the Duato
+  /// verdict).  With neither a transition nor a mask this is get().
+  const AnalysisEntry& get_epoch(const std::string& topo_spec,
+                                 const std::string& routing,
+                                 const reconfig::UnionSpec* transition,
+                                 const std::string& mask_hex);
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
@@ -119,6 +103,17 @@ class AnalysisCache {
     std::atomic<bool> ready{false};
     AnalysisEntry entry;
   };
+
+  /// The slot for `key`, filled by `fill()` on first use (double-checked:
+  /// only the first caller computes; the rest count a hit).
+  template <typename Fill>
+  const AnalysisEntry& lookup_or_fill(const std::string& key, Fill&& fill);
+
+  /// Verifies the binding (entry.topo, entry.routing, transition, mask_hex)
+  /// into `entry`, emitting and stamping its certificate when on.
+  void analyse(AnalysisEntry& entry, const std::string& topo_spec,
+               const std::string& transition, const std::string& mask_hex,
+               bool with_cwg);
 
   bool with_cwg_;
   bool certify_;

@@ -51,8 +51,8 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
       // masks[0] is the pristine network — that verdict is `analysis`
       // itself; only the degraded epochs need a re-check.
       for (std::size_t e = 1; e < masks.size(); ++e) {
-        const AnalysisEntry& epoch =
-            cache.get_degraded(point.topology, point.routing, masks[e]);
+        const AnalysisEntry& epoch = cache.get_epoch(
+            point.topology, point.routing, nullptr, ft::mask_to_hex(masks[e]));
         ++result.fault_epochs;
         if (!epoch.certified) ++result.uncertified_epochs;
       }
@@ -74,7 +74,7 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
       for (const reconfig::UnionSpec& spec_epoch :
            transition.verification_epochs()) {
         const AnalysisEntry& epoch =
-            cache.get_transition(point.topology, spec_epoch);
+            cache.get_epoch(point.topology, point.routing, &spec_epoch, "");
         ++result.transition_epochs;
         if (!epoch.certified) ++result.uncertified_transition_epochs;
       }
@@ -86,23 +86,16 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
       // through the certificate pipeline.
       const bool composed_point = cfg.fault_plan != nullptr;
       if (composed_point || options.rollback) {
-        const std::size_t channels = analysis.topo->num_channels();
         reconfig::GuardCertifier certifier =
             [&](const reconfig::UnionSpec& epoch_spec,
                 const std::string& mask_hex) {
-              std::vector<bool> mask(channels, false);
-              if (!mask_hex.empty()) {
-                mask = ft::mask_from_hex(mask_hex, channels);
-              }
-              bool pristine = true;
-              for (const bool dead : mask) {
-                if (dead) {
-                  pristine = false;
-                  break;
-                }
-              }
+              // A fully repaired network reports an all-zero mask: that is
+              // the pure union, which owns the unmasked slot.
+              const bool pristine =
+                  mask_hex.find_first_not_of('0') == std::string::npos;
               const AnalysisEntry& epoch =
-                  cache.get_composed(point.topology, epoch_spec, mask);
+                  cache.get_epoch(point.topology, point.routing, &epoch_spec,
+                                  pristine ? "" : mask_hex);
               if (!pristine) {
                 ++result.composed_epochs;
                 if (!epoch.certified) ++result.uncertified_composed_epochs;

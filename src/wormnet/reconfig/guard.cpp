@@ -6,7 +6,6 @@
 
 #include "wormnet/core/verifier.hpp"
 #include "wormnet/reconfig/union_routing.hpp"
-#include "wormnet/routing/fault.hpp"
 
 namespace wormnet::reconfig {
 
@@ -35,13 +34,8 @@ namespace {
 bool default_certify(const Topology& topo, const UnionSpec& spec,
                      const std::string& mask_hex) {
   try {
-    std::unique_ptr<routing::RoutingFunction> relation =
-        make_union_routing(topo, spec);
-    if (!mask_hex.empty()) {
-      relation = std::make_unique<routing::FaultAwareRouting>(
-          topo, std::move(relation),
-          ft::mask_from_hex(mask_hex, topo.num_channels()));
-    }
+    const auto relation = make_bound_relation(topo, spec.names.front(),
+                                              spec.to_string(), mask_hex);
     return core::verify(topo, *relation).conclusion ==
            core::Conclusion::kDeadlockFree;
   } catch (const std::exception&) {

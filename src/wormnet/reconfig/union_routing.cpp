@@ -193,4 +193,20 @@ std::unique_ptr<UnionRouting> make_union_routing(const Topology& topo,
   return std::make_unique<UnionRouting>(topo, spec, std::move(members));
 }
 
+std::unique_ptr<routing::RoutingFunction> make_bound_relation(
+    const Topology& topo, const std::string& routing,
+    const std::string& transition, const std::string& fault_mask) {
+  std::unique_ptr<routing::RoutingFunction> relation;
+  if (transition.empty()) {
+    relation = core::make_algorithm(routing, topo);
+  } else {
+    relation = make_union_routing(
+        topo, parse_union_spec(transition, topo.num_nodes()));
+  }
+  if (fault_mask.empty()) return relation;
+  return std::make_unique<routing::FaultAwareRouting>(
+      topo, std::move(relation),
+      ft::mask_from_hex(fault_mask, topo.num_channels()));
+}
+
 }  // namespace wormnet::reconfig

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "wormnet/reconfig/transition_plan.hpp"
@@ -65,5 +66,18 @@ class UnionRouting : public routing::RoutingFunction {
 /// inapplicable names, or when the spec's node count mismatches `topo`.
 [[nodiscard]] std::unique_ptr<UnionRouting> make_union_routing(
     const Topology& topo, const UnionSpec& spec);
+
+/// Builds the relation a verification binding names — the (routing,
+/// transition, fault_mask) fields a certificate records, over `topo`: the
+/// registry relation `routing`, or, when `transition` is non-empty, the
+/// union relation that serialized UnionSpec describes (its first member is
+/// the base, so `routing` is then informative only); degraded by
+/// routing::FaultAwareRouting when `fault_mask` (ft::mask_to_hex layout) is
+/// non-empty.  Every certificate producer and consumer binds through this.
+/// Throws std::invalid_argument for unknown or inapplicable names and
+/// malformed specs or masks.
+[[nodiscard]] std::unique_ptr<routing::RoutingFunction> make_bound_relation(
+    const Topology& topo, const std::string& routing,
+    const std::string& transition, const std::string& fault_mask);
 
 }  // namespace wormnet::reconfig

@@ -110,7 +110,7 @@ TEST(AuditConsistency, FaultEpochCertificatesAuditDegradedRelation) {
     ASSERT_NE(victim, topology::kInvalidChannel);
     mask[victim] = true;
     const exp::AnalysisEntry& epoch =
-        cache.get_degraded(spec, "duato", mask);
+        cache.get_epoch(spec, "duato", nullptr, ft::mask_to_hex(mask));
     ASSERT_TRUE(epoch.certificate != nullptr) << epoch.duato.detail;
     EXPECT_EQ(epoch.certificate->fault_mask, ft::mask_to_hex(mask));
 
