@@ -9,8 +9,8 @@
 // Exit status: 0 = no finding at or above the --fail-on threshold,
 //              1 = findings (or, with --all-examples, expectation failures),
 //              2 = usage or configuration error.
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -123,15 +123,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--planner-budget") {
       const char* v = value();
       if (v == nullptr) return 2;
-      try {
-        std::size_t used = 0;
-        planner_budget = std::stoull(v, &used);
-        if (used != std::strlen(v)) throw std::invalid_argument(v);
-      } catch (const std::exception&) {
-        std::cerr << argv[0] << ": bad value for " << arg << ": " << v
-                  << "\n";
+      constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+      const auto budget = core::parse_count(v, 0, kMax);
+      if (!budget) {
+        std::cerr << argv[0] << ": bad value for " << arg << ": '" << v
+                  << "' (expected an integer in 0.." << kMax << ")\n";
         return 2;
       }
+      planner_budget = *budget;
     } else if (arg == "--all-examples") {
       all_examples = true;
     } else if (arg == "--list-rules") {

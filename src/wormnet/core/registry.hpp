@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "wormnet/routing/routing_function.hpp"
@@ -38,6 +40,14 @@ struct AlgorithmEntry {
 /// per-channel table (state graph, simulator, certificates) scales with
 /// this count, and the state graph with its product by the node count.
 inline constexpr std::uint64_t kMaxTopologyChannels = std::uint64_t{1} << 20;
+
+/// Parses a decimal count in [min, max]: ASCII digits only (no sign,
+/// whitespace or trailing characters) and no silent narrowing or wrap.
+/// Returns nullopt for anything else.  Shared by the topology-spec parser
+/// and every numeric CLI flag.
+[[nodiscard]] std::optional<std::uint64_t> parse_count(std::string_view text,
+                                                       std::uint64_t min,
+                                                       std::uint64_t max);
 
 /// Parses a topology spec string, shared by every CLI binary so they all
 /// accept the same syntax:

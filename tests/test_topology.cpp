@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "test_helpers.hpp"
 
 namespace wormnet::topology {
@@ -234,6 +236,22 @@ TEST(TopologySpec, VcCountErrorNamesTheRange) {
                  "bad VC count '258' in topology spec 'mesh:4x4:258' "
                  "(expected an integer in 1..255)");
   }
+}
+
+TEST(ParseCount, AcceptsDigitsInRangeOnly) {
+  EXPECT_EQ(core::parse_count("0", 0, 10), 0u);
+  EXPECT_EQ(core::parse_count("10", 0, 10), 10u);
+  EXPECT_EQ(core::parse_count("007", 1, 10), 7u);
+  EXPECT_EQ(core::parse_count("18446744073709551615", 0,
+                              std::numeric_limits<std::uint64_t>::max()),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "1e3",
+                          "18446744073709551616", "4294967297"}) {
+    EXPECT_FALSE(core::parse_count(bad, 0, 4294967295u).has_value())
+        << "'" << bad << "'";
+  }
+  EXPECT_FALSE(core::parse_count("0", 1, 10).has_value());
+  EXPECT_FALSE(core::parse_count("11", 1, 10).has_value());
 }
 
 TEST(TopologySpec, RefusesNetworksOverTheChannelCapBeforeBuilding) {
