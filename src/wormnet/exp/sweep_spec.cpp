@@ -106,6 +106,9 @@ ExpandedSweep expand(const SweepSpec& spec) {
   if (spec.replications == 0) {
     throw std::invalid_argument("sweep: replications must be >= 1");
   }
+  // Workers run the config unguarded (an exception there terminates), so
+  // an impossible one is refused here, before any of them starts.
+  sim::validate_config(spec.base);
   // Count before allocating (topology x routing combos that later turn out
   // inapplicable still count, so the cap is conservative).
   const std::pair<const char*, std::size_t> axes[] = {

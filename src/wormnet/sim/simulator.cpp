@@ -6,9 +6,37 @@
 
 namespace wormnet::sim {
 
+void validate_config(const SimConfig& config) {
+  if (config.packet_length == 0) {
+    throw std::invalid_argument("sim config: packet length must be >= 1");
+  }
+  if (config.buffer_depth == 0) {
+    throw std::invalid_argument("sim config: buffer depth must be >= 1");
+  }
+  std::uint64_t total = 0;
+  if (__builtin_add_overflow(config.warmup_cycles, config.measure_cycles,
+                             &total) ||
+      __builtin_add_overflow(total, config.drain_cycles, &total)) {
+    throw std::invalid_argument(
+        "sim config: warmup + measure + drain cycles (" +
+        std::to_string(config.warmup_cycles) + " + " +
+        std::to_string(config.measure_cycles) + " + " +
+        std::to_string(config.drain_cycles) + ") overflow 64 bits");
+  }
+}
+
+namespace {
+
+SimConfig validated(SimConfig config) {
+  validate_config(config);
+  return config;
+}
+
+}  // namespace
+
 Simulator::Simulator(const Topology& topo,
                      const routing::RoutingFunction& routing, SimConfig config)
-    : topo_(&topo), routing_(&routing), config_(std::move(config)),
+    : topo_(&topo), routing_(&routing), config_(validated(std::move(config))),
       overlay_(topo.num_channels()),
       transition_(routing, config_.transition),
       net_(topo),

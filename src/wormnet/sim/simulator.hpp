@@ -137,6 +137,12 @@ struct SimConfig {
   std::size_t max_postmortems = 4;     ///< per-run capture cap
 };
 
+/// Refuses configurations no run can honour: zero-flit packets, zero-depth
+/// buffers, and a warmup + measure + drain schedule that overflows 64 bits.
+/// Throws std::invalid_argument naming the field.  The Simulator
+/// constructor calls it; so does exp::expand, before any worker starts.
+void validate_config(const SimConfig& config);
+
 class Simulator {
  public:
   Simulator(const Topology& topo, const routing::RoutingFunction& routing,

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "test_helpers.hpp"
 
 namespace wormnet::sim {
@@ -179,6 +183,42 @@ TEST(SimBasic, BufferDepthOneWorks) {
   const SimStats stats = run(topo, routing, cfg);
   EXPECT_FALSE(stats.deadlocked);
   EXPECT_EQ(stats.measured_delivered, stats.measured_created);
+}
+
+TEST(SimBasic, RefusesImpossibleConfigs) {
+  const topology::Topology topo = make_mesh({2, 2});
+  const routing::DimensionOrder routing(topo);
+  const auto refused = [&](const SimConfig& cfg, const std::string& what) {
+    try {
+      validate_config(cfg);
+      ADD_FAILURE() << "accepted a config with " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(Simulator(topo, routing, cfg), std::invalid_argument);
+  };
+  SimConfig cfg;
+  cfg.packet_length = 0;
+  refused(cfg, "packet length");
+  cfg = SimConfig{};
+  cfg.buffer_depth = 0;
+  refused(cfg, "buffer depth");
+  cfg = SimConfig{};
+  cfg.warmup_cycles = std::numeric_limits<std::uint64_t>::max();
+  cfg.measure_cycles = 1;
+  cfg.drain_cycles = 0;
+  refused(cfg, "overflow");
+  cfg = SimConfig{};
+  cfg.measure_cycles = std::numeric_limits<std::uint64_t>::max() - 1;
+  cfg.warmup_cycles = 1;
+  cfg.drain_cycles = 1;
+  refused(cfg, "overflow");
+
+  // The largest schedule that fits is accepted (never run here).
+  cfg.drain_cycles = 0;
+  EXPECT_NO_THROW(validate_config(cfg));
+  EXPECT_NO_THROW(validate_config(SimConfig{}));
 }
 
 // Selection policies all deliver correctly on an adaptive algorithm.

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -247,6 +248,19 @@ TEST(SweepProperties, InvalidSpecsThrow) {
   spec.routings = {"e-cube"};
   spec.replications = 0;
   EXPECT_THROW(expand(spec), std::invalid_argument);
+  // Impossible simulator configs are refused at expansion, before any
+  // worker could run (and terminate on) them.
+  spec.replications = 1;
+  spec.base.buffer_depth = 0;
+  EXPECT_THROW(expand(spec), std::invalid_argument);
+  spec.base.buffer_depth = 4;
+  spec.base.packet_length = 0;
+  EXPECT_THROW(expand(spec), std::invalid_argument);
+  spec.base.packet_length = 8;
+  spec.base.drain_cycles = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW(expand(spec), std::invalid_argument);
+  spec.base.drain_cycles = 2000;
+  EXPECT_NO_THROW(expand(spec));
 
   EXPECT_THROW(parse_grid("topo=mesh:3x3"), std::invalid_argument);
   EXPECT_THROW(parse_grid("bogus"), std::invalid_argument);
